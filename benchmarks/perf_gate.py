@@ -15,11 +15,22 @@ Conflict counts are deterministic for a given code state (fixed seeds, no
 timing dependence), so the default tolerance only absorbs intentional small
 drifts; genuine regressions show up as hard failures in CI.
 
+With ``--core-fresh`` the gate also checks the ``frontend_work`` block of a
+fresh ``benchmarks/run_all.py`` document against the committed
+``BENCH_core.json``:
+
+* **AIG nodes** must match exactly — bit-blasting speedups (the encoder's
+  memo, the inlined strash kernels) must not change the AIG they build;
+* **blast calls** must not exceed the committed count, so work the memo
+  saves cannot silently come back.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_simplify.py --output fresh.json
+    PYTHONPATH=src python benchmarks/run_all.py --quick --output core.json
     PYTHONPATH=src python benchmarks/perf_gate.py \
-        --fresh fresh.json --baseline BENCH_simplify.json
+        --fresh fresh.json --baseline BENCH_simplify.json \
+        --core-fresh core.json --core-baseline BENCH_core.json
 """
 
 from __future__ import annotations
@@ -104,6 +115,33 @@ def run_gate(
     return failures
 
 
+def run_core_gate(fresh: Dict[str, object], baseline: Dict[str, object]) -> List[str]:
+    """Regression messages of the frontend-work block (empty = gate passes)."""
+    fresh_work = fresh["frontend_work"]
+    base_work = baseline["frontend_work"]
+    if fresh_work["design"] != base_work["design"]:
+        return [
+            f"frontend work counts {fresh_work['design']!r}, "
+            f"the baseline {base_work['design']!r}"
+        ]
+    failures: List[str] = []
+    checks = (
+        ("aig_nodes", "AIG nodes (exact)", fresh_work["aig_nodes"] == base_work["aig_nodes"]),
+        ("blast_calls", "blast calls (<= baseline)",
+         fresh_work["blast_calls"] <= base_work["blast_calls"]),
+    )
+    for key, label, ok in checks:
+        print(
+            f"{label:28s} fresh {fresh_work[key]:6d}  baseline {base_work[key]:6d}  "
+            f"{'ok' if ok else 'REGRESSION'}"
+        )
+        if not ok:
+            failures.append(
+                f"{base_work['design']} {key}: {fresh_work[key]} vs committed {base_work[key]}"
+            )
+    return failures
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -122,11 +160,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--slack", type=int, default=DEFAULT_SLACK, metavar="N",
         help=f"allowed absolute conflict growth (default: {DEFAULT_SLACK})",
     )
+    parser.add_argument(
+        "--core-fresh", metavar="FILE",
+        help="freshly generated run_all.py document; gates its frontend_work block",
+    )
+    parser.add_argument(
+        "--core-baseline", default="BENCH_core.json", metavar="FILE",
+        help="committed core document (default: BENCH_core.json)",
+    )
     args = parser.parse_args(argv)
 
     failures = run_gate(
         _load(args.fresh), _load(args.baseline), args.tolerance, args.slack
     )
+    if args.core_fresh:
+        failures += run_core_gate(_load(args.core_fresh), _load(args.core_baseline))
     if failures:
         for failure in failures:
             print(f"perf gate FAILED: {failure}", file=sys.stderr)

@@ -13,6 +13,15 @@ as an artefact on every run, so regressions in any subsystem (incremental
 solving, parallel execution, sequential unrolling, simulation-guided
 simplification) show up as a diff of one document instead of four.
 
+The document also carries one ``frontend_work`` block of deterministic
+frontend counters for ``AES-HT-FREE --check-all``: the AIG nodes the audit
+creates and its ``BitBlaster.blast`` calls.  Unlike wall times these repeat
+exactly for a given code state, so ``benchmarks/perf_gate.py --core-fresh``
+gates them against the committed document::
+
+    "frontend_work": { "design": "AES-HT-FREE",
+                       "aig_nodes": int, "blast_calls": int }
+
 The artefact-script harnesses (parallel scaling, sequential depth,
 simplify) are invoked through their importable ``run_benchmark`` /
 ``bench_benchmark`` entry points with reduced workloads; the
@@ -44,6 +53,8 @@ import sys
 import time
 from typing import Callable, Dict, List, Tuple
 
+from repro.aig.aig import AIG
+from repro.aig.bitblast import BitBlaster
 from repro.api import BatchSession, Design, DetectionConfig, DetectionSession
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -147,6 +158,39 @@ SCENARIOS: List[Tuple[str, Callable[[bool], Dict[str, object]]]] = [
 ]
 
 
+#: The design whose ``--check-all`` audit the frontend-work block counts.
+FRONTEND_DESIGN = "AES-HT-FREE"
+
+
+def frontend_work(name: str = FRONTEND_DESIGN) -> Dict[str, object]:
+    """AIG nodes created and ``BitBlaster.blast`` calls of one serial,
+    uncached ``--check-all`` audit of ``name`` (every AIG the audit builds
+    counts, canonical re-settle engines included)."""
+    aigs: List[AIG] = []
+    calls = [0]
+    init, blast = AIG.__init__, BitBlaster.blast
+
+    def registered_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        aigs.append(self)
+
+    def counted_blast(self, *args, **kwargs):
+        calls[0] += 1
+        return blast(self, *args, **kwargs)
+
+    AIG.__init__, BitBlaster.blast = registered_init, counted_blast
+    try:
+        design = Design.from_benchmark(name)
+        DetectionSession(design, design.default_config(stop_at_first_failure=False)).run()
+    finally:
+        AIG.__init__, BitBlaster.blast = init, blast
+    return {
+        "design": name,
+        "aig_nodes": sum(aig.num_nodes for aig in aigs),
+        "blast_calls": calls[0],
+    }
+
+
 def run_all(quick: bool = True, repeat: int = 1) -> Dict[str, Dict[str, object]]:
     if repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {repeat}")
@@ -169,6 +213,11 @@ def run_all(quick: bool = True, repeat: int = 1) -> Dict[str, Dict[str, object]]
             f"{document[name]['solver_conflicts']:6d} conflicts  "
             f"{document[name]['solve_calls']:4d} solver calls{spread}"
         )
+    work = document["frontend_work"] = frontend_work()
+    print(
+        f"{'frontend_work':20s} {work['design']}: {work['aig_nodes']} AIG nodes, "
+        f"{work['blast_calls']} blast calls"
+    )
     return document
 
 

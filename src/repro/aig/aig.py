@@ -9,7 +9,7 @@ share the node index space.
 
 Structural hashing plus the usual two-level simplification rules mean that
 two structurally identical cones built over the same input literals collapse
-to the same literal.  The 2-safety engine of :mod:`repro.core.miter` relies on
+to the same literal.  The 2-safety engine of :mod:`repro.ipc.engine` relies on
 this: after substituting assumed-equal signals of the second design instance
 by the literals of the first, an untampered logic cone hashes to the
 identical literal and the proof obligation discharges without any SAT call.
@@ -17,7 +17,8 @@ identical literal and the proof obligation discharges without any SAT call.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import compress
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 FALSE = 0
 TRUE = 1
@@ -34,6 +35,9 @@ class AIG:
     def __init__(self) -> None:
         # _nodes[i] is None for primary inputs, or (left_lit, right_lit) for ANDs.
         self._nodes: List[Optional[Tuple[int, int]]] = [None]  # node 0 = constant false
+        # Fanin pair -> positive literal of its AND node.  Handing out the
+        # one stored literal object on every hit lets all fanout tuples share
+        # it instead of each holding an int of its own.
         self._strash: Dict[Tuple[int, int], int] = {}
         self._input_names: Dict[int, str] = {}
 
@@ -60,12 +64,12 @@ class AIG:
         if a > b:
             a, b = b, a
         key = (a, b)
-        node = self._strash.get(key)
-        if node is None:
-            node = len(self._nodes)
+        literal = self._strash.get(key)
+        if literal is None:
+            literal = len(self._nodes) << 1
             self._nodes.append(key)
-            self._strash[key] = node
-        return node << 1
+            self._strash[key] = literal
+        return literal
 
     def not_(self, a: int) -> int:
         return negate(a)
@@ -91,20 +95,69 @@ class AIG:
         return self.or_(self.and_(select, then), self.and_(negate(select), otherwise))
 
     def and_many(self, literals: Iterable[int]) -> int:
+        """AND of ``literals``, folded left to right like an ``and_`` chain.
+
+        The strash step is inlined (this is the hot loop of every LUT output
+        bit and of :meth:`or_many`): the result literal and the order in
+        which new nodes are created are exactly those of
+        ``result = and_(result, literal)`` from ``TRUE``, stopping at
+        ``FALSE``.
+        """
+        nodes = self._nodes
+        strash = self._strash
         result = TRUE
         for literal in literals:
-            result = self.and_(result, literal)
-            if result == FALSE:
+            if literal == FALSE or result == literal ^ 1:
                 return FALSE
+            if result == TRUE:
+                result = literal
+            elif literal != TRUE and result != literal:
+                key = (result, literal) if result < literal else (literal, result)
+                result = strash.get(key)
+                if result is None:
+                    result = len(nodes) << 1
+                    nodes.append(key)
+                    strash[key] = result
         return result
 
     def or_many(self, literals: Iterable[int]) -> int:
-        result = FALSE
-        for literal in literals:
-            result = self.or_(result, literal)
-            if result == TRUE:
-                return TRUE
-        return result
+        """OR of ``literals``: the complement of the AND of their complements,
+        which is literal for literal and node for node the ``or_`` chain."""
+        return negate(self.and_many(literal ^ 1 for literal in literals))
+
+    def decoder(self, bits: Sequence[int]) -> List[int]:
+        """One-hot minterms of ``bits`` (LSB first): entry ``i`` is true iff
+        the bits spell ``i``.
+
+        Each bit doubles the term list — every term ANDed with the bit's
+        complement, then every term ANDed with the bit — with the strash
+        step inlined; literals and node-creation order are exactly those of
+        the equivalent ``and_(term, ~bit)`` / ``and_(term, bit)`` loops.
+        """
+        nodes = self._nodes
+        strash = self._strash
+        minterms = [TRUE]
+        for bit in bits:
+            expanded: List[int] = []
+            append = expanded.append
+            for b in (bit ^ 1, bit):
+                for a in minterms:
+                    if a == FALSE or b == FALSE or a == b ^ 1:
+                        append(FALSE)
+                    elif a == TRUE:
+                        append(b)
+                    elif b == TRUE or a == b:
+                        append(a)
+                    else:
+                        key = (a, b) if a < b else (b, a)
+                        literal = strash.get(key)
+                        if literal is None:
+                            literal = len(nodes) << 1
+                            nodes.append(key)
+                            strash[key] = literal
+                        append(literal)
+            minterms = expanded
+        return minterms
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -172,24 +225,37 @@ class AIG:
         return order
 
     def evaluate(self, roots: Iterable[int], input_values: Dict[int, int]) -> List[int]:
-        """Evaluate root literals under an assignment of input *nodes* to 0/1."""
+        """Evaluate root literals under an assignment of input *nodes* to 0/1.
+
+        One pass over the union cone of all roots, with node-indexed byte
+        arrays for the visited flags and values.  Node indices are a
+        topological order (fanins are always created first), so a downward
+        sweep marks the cone and an upward sweep evaluates it; ``compress``
+        skips the unmarked nodes of both sweeps.
+        """
         roots = list(roots)
-        values: Dict[int, int] = {0: 0}
-        for node in self.cone_nodes(roots):
-            children = self._nodes[node]
+        nodes = self._nodes
+        count = len(nodes)
+        marked = bytearray(count)
+        for literal in roots:
+            marked[literal >> 1] = 1
+        # The reversed view reads each flag when reached, after every fanout
+        # (a higher index) has had its chance to mark it.
+        for node in compress(range(count - 1, -1, -1), reversed(marked)):
+            children = nodes[node]
+            if children is not None:
+                marked[children[0] >> 1] = 1
+                marked[children[1] >> 1] = 1
+        marked[0] = 0  # the constant node: its value stays 0
+        values = bytearray(count)
+        for node in compress(range(count), marked):
+            children = nodes[node]
             if children is None:
                 values[node] = input_values.get(node, 0) & 1
             else:
                 left, right = children
-                left_value = values[self.node_of(left)] ^ (left & 1)
-                right_value = values[self.node_of(right)] ^ (right & 1)
-                values[node] = left_value & right_value
-        results = []
-        for literal in roots:
-            node = self.node_of(literal)
-            value = values.get(node, 0)
-            results.append(value ^ (literal & 1))
-        return results
+                values[node] = (values[left >> 1] ^ (left & 1)) & (values[right >> 1] ^ (right & 1))
+        return [values[literal >> 1] ^ (literal & 1) for literal in roots]
 
     def evaluate_word_values(
         self,

@@ -92,24 +92,18 @@ class BitBlaster:
             value = table[constant_index] if constant_index < len(table) else 0
             return self.constant(value, expr.width)
         # minterms[i] is true iff the index equals i.
-        minterms: List[int] = [TRUE]
-        for bit in index:
-            expanded: List[int] = []
-            for term in minterms:
-                expanded.append(self._aig.and_(term, negate(bit)))
-            for term in minterms:
-                expanded.append(self._aig.and_(term, bit))
-            # Keep LSB-first ordering: entry i of `expanded` corresponds to the
-            # index value whose processed low bits equal i.
-            minterms = expanded
+        minterms = self._aig.decoder(index)
+        # Each output bit ORs the minterms of its set entries, built as the
+        # complement of an AND over complemented minterms (what ``or_many``
+        # does); complementing every minterm once lets all output bits share
+        # the literals.
+        inverted = [negate(term) for term in minterms[: len(table)]]
         result: Vector = []
         for bit_position in range(expr.width):
             selected = [
-                minterms[i]
-                for i in range(min(len(table), len(minterms)))
-                if (table[i] >> bit_position) & 1
+                term for term, entry in zip(inverted, table) if (entry >> bit_position) & 1
             ]
-            result.append(self._aig.or_many(selected))
+            result.append(negate(self._aig.and_many(selected)))
         return result
 
     # -- unary ---------------------------------------------------------- #

@@ -64,13 +64,19 @@ class SimdEvaluator:
     """
 
     def __init__(self, aig: AIG) -> None:
-        self._aig = aig
+        # Weak: the evaluator is the value of a WeakKeyDictionary keyed by
+        # this AIG, and a strong reference would keep the key alive forever.
+        self._aig_ref = weakref.ref(aig)
         self._known = 1  # node 0 (constant false) is always known
         self._level = _np.zeros(1, dtype=_np.int32)
         self._left = _np.zeros(1, dtype=_np.intp)
         self._right = _np.zeros(1, dtype=_np.intp)
         self._left_inv = _np.zeros(1, dtype=bool)
         self._right_inv = _np.zeros(1, dtype=bool)
+
+    @property
+    def _aig(self) -> AIG:
+        return self._aig_ref()
 
     def _extend(self) -> None:
         """Grow the cached schedule to cover nodes created since last call."""

@@ -22,6 +22,7 @@ from repro.errors import ConfigError, DesignError
 from repro.rtl.elaborate import elaborate_source
 from repro.rtl.fanout import FanoutAnalysis, compute_fanout_classes
 from repro.rtl.ir import Module
+from repro.rtl.netlist import DependencyGraph
 
 
 def parse_input_list(text: str) -> List[str]:
@@ -71,6 +72,7 @@ class Design:
         self._golden_source = golden_source
         self._golden_top = golden_top
         self._analyses: Dict[Tuple[str, ...], FanoutAnalysis] = {}
+        self._graph: Optional[DependencyGraph] = None
         self._validate()
 
     # ------------------------------------------------------------------ #
@@ -213,12 +215,20 @@ class Design:
             self._golden = elaborate_source(self._golden_source, self._golden_top)
         return self._golden
 
+    def graph(self) -> DependencyGraph:
+        """The module's structural dependency graph (built once, then cached)."""
+        if self._graph is None:
+            self._graph = DependencyGraph(self._module)
+        return self._graph
+
     def analysis(self, inputs: Optional[Sequence[str]] = None) -> FanoutAnalysis:
         """Structural fanout analysis for ``inputs`` (cached per input set)."""
         selected = tuple(inputs) if inputs is not None else self.data_inputs
         self._check_inputs(selected)
         if selected not in self._analyses:
-            self._analyses[selected] = compute_fanout_classes(self._module, inputs=selected)
+            self._analyses[selected] = compute_fanout_classes(
+                self._module, inputs=selected, graph=self.graph()
+            )
         return self._analyses[selected]
 
     def default_config(self, include_recommended_waivers: bool = True, **overrides) -> DetectionConfig:

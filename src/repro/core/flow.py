@@ -59,6 +59,7 @@ class TrojanDetectionFlow:
         design_name: Optional[str] = None,
         analysis: Optional[FanoutAnalysis] = None,
         golden: Optional[Module] = None,
+        graph: Optional[DependencyGraph] = None,
     ) -> None:
         self._module = module
         # Reports and events carry the *design* name (e.g. the benchmark
@@ -77,7 +78,10 @@ class TrojanDetectionFlow:
             self._graph = None
             self._analysis = None
         else:
-            self._graph = DependencyGraph(module)
+            # The one dependency graph of the design (e.g. Design.graph()'s)
+            # serves the fanout analysis, the coverage check, the work
+            # context and the engine's bit-blasting memo.
+            self._graph = graph if graph is not None else DependencyGraph(module)
             # A pre-computed fanout analysis (e.g. Design.analysis()'s cache)
             # may be passed in; it must match the config's traced inputs.
             self._analysis = analysis if analysis is not None else compute_fanout_classes(
@@ -126,6 +130,7 @@ class TrojanDetectionFlow:
                 fraig_rounds=self._config.fraig_rounds,
                 inprocess=self._config.inprocess,
                 sim_backend=self._config.sim_backend,
+                graph=self._graph,
             )
         return self._lazy_engine
 

@@ -383,7 +383,8 @@ class DetectionReport:
             )
         if self.profile:
             lines.append(
-                f"  phases: preprocess {self.profile.get('preprocess_s', 0.0):.2f} s"
+                f"  phases: frontend {self.profile.get('frontend_s', 0.0):.2f} s"
+                f" / preprocess {self.profile.get('preprocess_s', 0.0):.2f} s"
                 f" / solve {self.profile.get('solve_s', 0.0):.2f} s"
                 f" (spans total {self.profile.get('total_s', 0.0):.2f} s)"
             )

@@ -305,7 +305,12 @@ class SerialExecutor(Executor):
         self._cancelled.add(design_key)
 
     def close(self) -> None:
+        # The pool's factory is a bound method of this executor, so the two
+        # form a reference cycle; dropping the seeds too keeps that cycle
+        # from holding the seeding flow (and its engine) until the cyclic
+        # garbage collector runs.
         self._contexts.clear()
+        self._seeds = {}
 
 
 # ---------------------------------------------------------------------- #

@@ -206,6 +206,7 @@ class DesignWorkContext:
                 fraig_rounds=self._config.fraig_rounds,
                 inprocess=self._config.inprocess,
                 sim_backend=self._config.sim_backend,
+                graph=self.graph,
             )
         return self._engine
 

@@ -34,6 +34,7 @@ from repro.ipc.prop import Equality, IntervalProperty, Term
 from repro.obs.trace import span as _obs_span
 from repro.ipc.transition import SymbolicFrame, TransitionEncoder
 from repro.rtl.ir import Module
+from repro.rtl.netlist import DependencyGraph
 from repro.sat.context import SolverContext
 from repro.sat.cubes import LOOKAHEAD_PATTERNS, enumerate_cubes, select_split_bits
 from repro.utils.bitvec import from_bits
@@ -125,9 +126,13 @@ class IpcEngine:
 
     The engine keeps the frames of instance 0 (and the shared AIG) alive
     between calls, because the iterative detection flow checks one property
-    per fanout class over the *same* one-cycle window.  Frames of further
-    instances are rebuilt per property since their leaf merging depends on the
-    property's assumptions.
+    per fanout class over the *same* one-cycle window.  Further instances get
+    fresh frames per property since their leaf merging depends on the
+    property's assumptions, but their cones are not lowered again: the
+    encoder's bit-blasting memo hands a fresh frame every vector already
+    blasted over the same leaf literals (see :mod:`repro.ipc.transition`).
+    ``graph`` supplies the memo's leaf support; pass the design's
+    :class:`~repro.rtl.netlist.DependencyGraph` to avoid building a second.
     """
 
     def __init__(
@@ -140,9 +145,10 @@ class IpcEngine:
         fraig_rounds: int = 1,
         inprocess: bool = True,
         sim_backend: str = "auto",
+        graph: Optional[DependencyGraph] = None,
     ) -> None:
         self._module = module
-        self._encoder = TransitionEncoder(module)
+        self._encoder = TransitionEncoder(module, graph=graph)
         self._base_frames: Dict[int, List[SymbolicFrame]] = {}
         # Frames of these instances are kept across check() calls; their leaves
         # must never be rebound by assumption merging (a clause constraint is
@@ -254,7 +260,8 @@ class IpcEngine:
             for instance in instances:
                 # Persistent-instance frames survive across properties; the
                 # leaves of the other instances depend on the property's
-                # merge set, so they are rebuilt for every check.
+                # merge set, so they get fresh frames for every check (whose
+                # cones the encoder's memo mostly serves without blasting).
                 persistent = instance in self._persistent_instances
                 frames[instance] = self._frames_for_instance(instance, window, persistent)
 
@@ -666,10 +673,6 @@ class IpcEngine:
     # Counterexample reconstruction
     # ------------------------------------------------------------------ #
 
-    def _vector_value(self, vector: Vector, input_values: Dict[int, int]) -> int:
-        bits = self._encoder.aig.evaluate(vector, input_values)
-        return from_bits(bits)
-
     def _build_counterexample(
         self,
         prop: IntervalProperty,
@@ -678,30 +681,49 @@ class IpcEngine:
         input_values: Dict[int, int],
         window: int,
     ) -> CounterExample:
-        cex = CounterExample(property_name=prop.name)
-        for commitment, left_vector, right_vector, difference in obligations:
-            if difference == FALSE:
-                continue
-            left_value = self._vector_value(left_vector, input_values)
-            right_value = self._vector_value(right_vector, input_values)
-            if left_value != right_value:
-                cex.failing_signals.append(
-                    (commitment.left.signal, commitment.left.time, left_value, right_value)
-                )
-        # Record the starting-state and input valuation of both instances for
-        # every leaf that participated in the check.
+        # Collect every vector the witness reports, in report order, and
+        # evaluate them in one pass over their union cone.
+        failing = [entry for entry in obligations if entry[3] != FALSE]
+        vectors: List[Vector] = []
+        for _, left_vector, right_vector, _ in failing:
+            vectors += [left_vector, right_vector]
+        # The starting-state and input valuation of both instances for every
+        # leaf that participated in the check ...
+        keys: List[Tuple[int, int, str]] = []
         for instance, instance_frames in frames.items():
             for time_index, frame in enumerate(instance_frames[: window + 1]):
                 for signal, vector in frame.leaves.items():
-                    cex.values[(instance, time_index, signal)] = self._vector_value(vector, input_values)
-        # Also record the values that appear explicitly in the property.
+                    keys.append((instance, time_index, signal))
+                    vectors.append(vector)
+        # ... and the values that appear explicitly in the property.
+        recorded = set(keys)
         for constraint in list(prop.assumptions) + list(prop.commitments):
             terms = [constraint.left]
             if isinstance(constraint.right, Term):
                 terms.append(constraint.right)
             for term in terms:
                 key = (term.instance, term.time, term.signal)
-                if key not in cex.values:
-                    vector = self._term_vector(term, frames)
-                    cex.values[key] = self._vector_value(vector, input_values)
+                if key not in recorded:
+                    recorded.add(key)
+                    keys.append(key)
+                    vectors.append(self._term_vector(term, frames))
+
+        bits = self._encoder.aig.evaluate(
+            [literal for vector in vectors for literal in vector], input_values
+        )
+        values: List[int] = []
+        offset = 0
+        for vector in vectors:
+            values.append(from_bits(bits[offset : offset + len(vector)]))
+            offset += len(vector)
+
+        cex = CounterExample(property_name=prop.name)
+        for position, (commitment, _, _, _) in enumerate(failing):
+            left_value, right_value = values[2 * position], values[2 * position + 1]
+            if left_value != right_value:
+                cex.failing_signals.append(
+                    (commitment.left.signal, commitment.left.time, left_value, right_value)
+                )
+        for key, value in zip(keys, values[2 * len(failing):]):
+            cex.values[key] = value
         return cex

@@ -43,9 +43,12 @@ _tracer: contextvars.ContextVar[Optional["Tracer"]] = contextvars.ContextVar(
     "repro_tracer", default=None
 )
 
-#: Span names counted as preprocessing in the profile's two-way split.
-PREPROCESS_PHASES = frozenset({"parse", "plan", "bitblast", "unroll", "preprocess", "sim", "fraig"})
-#: Span names counted as SAT solving in the profile's two-way split.
+#: Span names counted as the frontend (parsing, planning, bit-blasting and
+#: unrolling) in the profile's summary split.
+FRONTEND_PHASES = frozenset({"parse", "plan", "bitblast", "unroll"})
+#: Span names counted as miter preprocessing (simulation, fraig sweeping).
+PREPROCESS_PHASES = frozenset({"preprocess", "sim", "fraig"})
+#: Span names counted as SAT solving.
 SOLVE_PHASES = frozenset({"solve", "inprocess"})
 
 
@@ -213,7 +216,8 @@ def phase_profile(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     wall clock per lane.
 
     Returns ``{"phases": {name: {"count": n, "total_s": s}},
-    "preprocess_s": float, "solve_s": float, "total_s": float}``.
+    "frontend_s": float, "preprocess_s": float, "solve_s": float,
+    "total_s": float}``.
     """
     totals: Dict[str, float] = {}
     counts: Dict[str, int] = {}
@@ -240,16 +244,15 @@ def phase_profile(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         name: {"count": counts[name], "total_s": totals[name] / 1e6}
         for name in sorted(totals)
     }
-    preprocess_s = sum(
-        entry["total_s"] for name, entry in phases.items() if name in PREPROCESS_PHASES
-    )
-    solve_s = sum(
-        entry["total_s"] for name, entry in phases.items() if name in SOLVE_PHASES
-    )
+
+    def bucket(names: frozenset) -> float:
+        return sum(entry["total_s"] for name, entry in phases.items() if name in names)
+
     return {
         "phases": phases,
-        "preprocess_s": preprocess_s,
-        "solve_s": solve_s,
+        "frontend_s": bucket(FRONTEND_PHASES),
+        "preprocess_s": bucket(PREPROCESS_PHASES),
+        "solve_s": bucket(SOLVE_PHASES),
         "total_s": sum(entry["total_s"] for entry in phases.values()),
     }
 
@@ -267,7 +270,8 @@ def format_profile(profile: Dict[str, Any]) -> str:
             f"{name:{width}s}  {entry['count']:7d}  {entry['total_s']:9.3f}s"
         )
     lines.append(
-        f"{'—'* width}  preprocess {profile.get('preprocess_s', 0.0):.3f}s"
+        f"{'—'* width}  frontend {profile.get('frontend_s', 0.0):.3f}s"
+        f" / preprocess {profile.get('preprocess_s', 0.0):.3f}s"
         f" / solve {profile.get('solve_s', 0.0):.3f}s"
         f" / total {profile.get('total_s', 0.0):.3f}s"
     )

@@ -14,7 +14,6 @@ This module provides those views on top of :class:`repro.rtl.ir.Module`:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Set
 
 import networkx as nx
@@ -30,9 +29,15 @@ class DependencyGraph:
 
     def __init__(self, module: Module) -> None:
         self._module = module
-        self._comb_graph = self._build_comb_graph()
-        self._check_comb_cycles()
+        # Direct (one-level) support of every combinational driver.
+        self._drivers_support: Dict[str, FrozenSet[str]] = {
+            name: frozenset(exprs.support(expr)) for name, expr in module.comb.items()
+        }
+        # The networkx graph serves only the cycle check; the support queries
+        # walk the direct supports above, so the graph is not kept.
+        self._check_comb_cycles(self._build_comb_graph())
         self._leaf_support_cache: Dict[str, FrozenSet[str]] = {}
+        self._next_support_cache: Dict[str, FrozenSet[str]] = {}
 
     @property
     def module(self) -> Module:
@@ -45,13 +50,13 @@ class DependencyGraph:
     def _build_comb_graph(self) -> nx.DiGraph:
         graph = nx.DiGraph()
         graph.add_nodes_from(self._module.signals)
-        for name, expr in self._module.comb.items():
-            for dependency in exprs.support(expr):
+        for name, support in self._drivers_support.items():
+            for dependency in support:
                 graph.add_edge(dependency, name)
         return graph
 
-    def _check_comb_cycles(self) -> None:
-        cycle = find_cycle(self._comb_graph)
+    def _check_comb_cycles(self, comb_graph: nx.DiGraph) -> None:
+        cycle = find_cycle(comb_graph)
         if cycle:
             raise ElaborationError(
                 "combinational loop detected through signals: " + " -> ".join(cycle[:8])
@@ -69,7 +74,7 @@ class DependencyGraph:
         """Primary inputs and registers the expression transitively depends on."""
         result: Set[str] = set()
         for name in exprs.support(expr):
-            result |= self.leaf_support(name)
+            result |= self._leaf_support(name)
         return result
 
     def leaf_support(self, name: str) -> Set[str]:
@@ -79,42 +84,49 @@ class DependencyGraph:
         time point is a leaf); combinational wires and outputs are expanded
         through their drivers.
         """
-        cached = self._leaf_support_cache.get(name)
-        if cached is not None:
-            return set(cached)
-        result = self._compute_leaf_support(name)
-        self._leaf_support_cache[name] = frozenset(result)
-        return set(result)
+        return set(self._leaf_support(name))
 
-    def _compute_leaf_support(self, name: str) -> Set[str]:
-        if self.is_leaf(name):
-            return {name}
-        driver = self._module.comb.get(name)
-        if driver is None:
-            # Undriven wire: treat as its own leaf so problems stay visible.
-            return {name}
-        result: Set[str] = set()
+    def _leaf_support(self, name: str) -> FrozenSet[str]:
+        """Cached leaf support; every combinational signal on the way is
+        resolved once, from the supports of its direct dependencies."""
+        cache = self._leaf_support_cache
+        cached = cache.get(name)
+        if cached is not None:
+            return cached
+        drivers = self._drivers_support
         stack: List[str] = [name]
-        visited: Set[str] = set()
         while stack:
-            current = stack.pop()
-            if current in visited:
+            current = stack[-1]
+            if current in cache:
+                stack.pop()
                 continue
-            visited.add(current)
-            if current != name and self.is_leaf(current):
-                result.add(current)
+            direct = drivers.get(current)
+            if direct is None or self.is_leaf(current):
+                # A leaf, or an undriven wire treated as its own leaf so
+                # problems stay visible.
+                cache[current] = frozenset((current,))
+                stack.pop()
                 continue
-            expr = self._module.comb.get(current)
-            if expr is None:
-                if current != name:
-                    result.add(current)
+            missing = [dependency for dependency in direct if dependency not in cache]
+            if missing:
+                stack.extend(missing)
                 continue
-            stack.extend(exprs.support(expr))
-        return result
+            result: Set[str] = set()
+            for dependency in direct:
+                result |= cache[dependency]
+            cache[current] = frozenset(result)
+            stack.pop()
+        return cache[name]
 
     def next_state_leaf_support(self, register: str) -> Set[str]:
         """Leaf support of the next-state function of ``register``."""
-        return self.leaf_support_of_expr(self._module.registers[register].next)
+        cached = self._next_support_cache.get(register)
+        if cached is None:
+            cached = frozenset(
+                self.leaf_support_of_expr(self._module.registers[register].next)
+            )
+            self._next_support_cache[register] = cached
+        return set(cached)
 
     # ------------------------------------------------------------------ #
     # One-clock-cycle register-level graph

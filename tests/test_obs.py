@@ -20,7 +20,7 @@ from repro.exec.records import normalized_report_dict
 from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
 from repro.obs import trace as obs_trace
-from repro.obs.trace import Tracer, install_tracer, phase_profile, span
+from repro.obs.trace import Tracer, format_profile, install_tracer, phase_profile, span
 from repro.rtl import elaborate_source
 from repro.utils.timing import Stopwatch
 
@@ -106,6 +106,23 @@ class TestPhaseProfile:
         profile = phase_profile(events)
         assert profile["preprocess_s"] == pytest.approx(3.0)
         assert profile["solve_s"] == pytest.approx(1.0)
+
+    def test_bitblast_is_frontend_not_preprocess(self):
+        # bitblast [0, 10] contains preprocess [2, 5] which contains solve
+        # [3, 4]: self times 7 / 2 / 1 land in three separate buckets.
+        events = [
+            {"name": "parse", "ph": "X", "ts": -2e6, "dur": 2e6, "pid": 1, "tid": 1},
+            {"name": "bitblast", "ph": "X", "ts": 0.0, "dur": 10e6, "pid": 1, "tid": 1},
+            {"name": "preprocess", "ph": "X", "ts": 2e6, "dur": 3e6, "pid": 1, "tid": 1},
+            {"name": "solve", "ph": "X", "ts": 3e6, "dur": 1e6, "pid": 1, "tid": 1},
+        ]
+        profile = phase_profile(events)
+        assert profile["frontend_s"] == pytest.approx(9.0)
+        assert profile["preprocess_s"] == pytest.approx(2.0)
+        assert profile["solve_s"] == pytest.approx(1.0)
+        assert profile["total_s"] == pytest.approx(12.0)
+        footer = format_profile(profile).splitlines()[-1]
+        assert "frontend 9.000s / preprocess 2.000s / solve 1.000s" in footer
 
 
 # ---------------------------------------------------------------------- #

@@ -9,7 +9,9 @@ minimization, incremental AIG growth, the ``auto`` resolution policy, and
 end-to-end normalized-report equality.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -81,6 +83,14 @@ class TestKernelBitIdentity:
         words = _random_words(rng, aig, [root, root2], num_patterns)
         expected = aig.evaluate_words([root, root2], words, mask)
         assert simd.evaluate_words_numpy(aig, [root, root2], words, mask) == expected
+
+    def test_cached_evaluator_does_not_keep_its_aig_alive(self):
+        aig, root = _random_cone(random.Random(5), num_inputs=4, num_gates=10)
+        simd.evaluate_words_numpy(aig, [root], {}, (1 << 300) - 1)
+        reference = weakref.ref(aig)
+        del aig
+        gc.collect()
+        assert reference() is None
 
     def test_constant_and_input_roots(self):
         aig = AIG()

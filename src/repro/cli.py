@@ -57,7 +57,6 @@ from repro.api import (
     CexWaived,
     ClassProven,
     ClassSimFalsified,
-    ClassSplit,
     ConeSimplified,
     Design,
     DetectionConfig,
@@ -217,31 +216,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
         help="disable solver inprocessing between checks (clause "
              "vivification and bounded elimination of dead per-check miter "
              "variables); the persistent clause database is left untouched",
-    )
-    parser.add_argument(
-        "--no-split",
-        action="store_true",
-        help="disable cube-and-conquer splitting: every class check runs "
-             "monolithically with no conflict budget (verdicts are identical "
-             "either way)",
-    )
-    parser.add_argument(
-        "--split-conflicts",
-        type=int,
-        default=defaults.split_conflicts,
-        metavar="N",
-        help=f"conflict budget of a class's first monolithic SAT call; a "
-             f"check that exhausts it is split into cube tasks "
-             f"(default: {defaults.split_conflicts})",
-    )
-    parser.add_argument(
-        "--split-depth",
-        type=int,
-        default=defaults.split_depth,
-        metavar="D",
-        help=f"lookahead depth of the cube splitter: a budget-exhausted "
-             f"class fans out into 2^D cube tasks over its most influential "
-             f"free input bits (default: {defaults.split_depth})",
     )
     from repro.aig.simvec import SIM_BACKENDS
 
@@ -518,9 +492,6 @@ def _shared_config_kwargs(args: argparse.Namespace) -> dict:
         inprocess=not args.no_inprocess,
         sim_backend=args.sim_backend,
         trace=bool(getattr(args, "trace", None)) or bool(getattr(args, "profile", False)),
-        split=not args.no_split,
-        split_conflicts=args.split_conflicts,
-        split_depth=args.split_depth,
         task_retries=args.task_retries,
         check_timeout_s=args.check_timeout,
     )
@@ -580,9 +551,6 @@ def _print_event(event: RunEvent, file=None) -> None:
     elif isinstance(event, ClassSimFalsified):
         print(f"  {event.label:24s} falsified by random simulation "
               f"(zero CDCL calls)", file=out)
-    elif isinstance(event, ClassSplit):
-        print(f"  {event.label:24s} split  ({event.cubes} cubes, "
-              f"{event.cubes_cached} from cache)", file=out)
     elif isinstance(event, CexFound):
         status = "spurious, auto-resolving" if event.auto_resolvable else "Trojan suspected"
         print(f"  {event.label:24s} FAILS  (counterexample: {status})", file=out)

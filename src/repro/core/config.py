@@ -11,6 +11,12 @@ from repro.errors import ConfigError
 #: flow (default) and the bounded design-vs-golden sequential mode.
 DETECTION_MODES = ("combinational", "sequential")
 
+#: Fields of the removed conflict-budgeted class splitting.  Every serialized
+#: config of the releases that had it carries them (``repro submit``
+#: overlays, queue journals); :meth:`DetectionConfig.from_dict` ignores
+#: exactly these.
+RETIRED_FIELDS = frozenset({"split", "split_conflicts", "split_depth"})
+
 
 def _require_int(value: object, name: str, minimum: int) -> None:
     """Reject non-integers *including* ``bool`` for integer config fields.
@@ -184,27 +190,6 @@ class DetectionConfig:
         A pure execution knob like ``jobs``: excluded from the config
         fingerprint, stripped by report normalization, zero behavior
         change when off.
-    split:
-        When true (default), a combinational check whose first SAT call
-        exceeds ``split_conflicts`` conflicts is aborted and cube-and-
-        conquered: the search space is partitioned into ``2^split_depth``
-        cube tasks over the most influential free input bits
-        (:mod:`repro.sat.cubes`), solved independently (and in parallel
-        under ``jobs > 1``), and reduced — any SAT cube yields the class
-        counterexample, all-UNSAT proves the class.  ``False`` (the CLI's
-        ``--no-split``) always solves monolithically.  Verdicts,
-        counterexamples and normalized reports are identical either way.
-        Semantic for caching purposes: split runs write per-cube cache
-        entries so an interrupted hard proof resumes from settled cubes.
-    split_conflicts:
-        Conflict budget of the monolithic attempt (>= 1; default 20000).
-        Only the *first* raw SAT call of a class is budgeted; cube solves
-        and spurious-counterexample re-checks always run to completion.
-        Ignored when ``split`` is false and by the sequential mode (whose
-        golden-model unrolling has no miter to split).
-    split_depth:
-        Number of branching bits of a split (>= 1, <= 10; default 2),
-        producing ``2^split_depth`` cube tasks per split class.
     task_retries:
         How many times a parallel task whose worker process *died* (crash,
         OOM kill, SIGKILL) is requeued onto a respawned worker before its
@@ -241,9 +226,6 @@ class DetectionConfig:
     inprocess: bool = True
     sim_backend: str = "auto"
     trace: bool = False
-    split: bool = True
-    split_conflicts: int = 20000
-    split_depth: int = 2
     task_retries: int = 2
     check_timeout_s: Optional[float] = None
 
@@ -275,14 +257,6 @@ class DetectionConfig:
             raise ConfigError(f"inprocess must be a bool, got {self.inprocess!r}")
         if not isinstance(self.trace, bool):
             raise ConfigError(f"trace must be a bool, got {self.trace!r}")
-        if not isinstance(self.split, bool):
-            raise ConfigError(f"split must be a bool, got {self.split!r}")
-        _require_int(self.split_conflicts, "split_conflicts", 1)
-        _require_int(self.split_depth, "split_depth", 1)
-        if self.split_depth > 10:
-            raise ConfigError(
-                f"split_depth must be <= 10 (2^depth cube tasks), got {self.split_depth!r}"
-            )
         _require_int(self.task_retries, "task_retries", 0)
         if self.check_timeout_s is not None:
             if isinstance(self.check_timeout_s, bool) or not isinstance(
@@ -344,9 +318,6 @@ class DetectionConfig:
             "inprocess": self.inprocess,
             "sim_backend": self.sim_backend,
             "trace": self.trace,
-            "split": self.split,
-            "split_conflicts": self.split_conflicts,
-            "split_depth": self.split_depth,
             "task_retries": self.task_retries,
             "check_timeout_s": self.check_timeout_s,
         }
@@ -358,20 +329,24 @@ class DetectionConfig:
         Missing keys keep their defaults (a partial dict is a valid config
         overlay); unknown keys raise :class:`ConfigError` so a typoed field
         in a service submission fails loudly instead of silently running
-        with the default.  All value validation is ``__post_init__``'s.
+        with the default.  The :data:`RETIRED_FIELDS` of older releases are
+        dropped, so journaled submissions written by them stay loadable.
+        All value validation is ``__post_init__``'s.
         """
         if not isinstance(data, dict):
             raise ConfigError(
                 f"serialized config must be a dict, got {type(data).__name__}"
             )
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - known - RETIRED_FIELDS)
         if unknown:
             raise ConfigError(
                 f"unknown config field(s) {', '.join(unknown)}; "
                 f"known fields: {', '.join(sorted(known))}"
             )
-        kwargs: Dict[str, Any] = dict(data)
+        kwargs: Dict[str, Any] = {
+            key: value for key, value in data.items() if key not in RETIRED_FIELDS
+        }
         if "waivers" in kwargs:
             entries = kwargs["waivers"]
             if not isinstance(entries, list):

@@ -280,47 +280,6 @@ class ConeSimplified(ClassEvent):
 
 
 @dataclass(frozen=True)
-class ClassSplit(ClassEvent):
-    """The class's monolithic solve blew its conflict budget and was cubed.
-
-    Emitted between ``PropertyScheduled`` and the class's terminal event
-    when the first SAT call exceeded ``DetectionConfig.split_conflicts``
-    conflicts and the check was partitioned into ``cubes`` independently
-    solvable cube tasks (:mod:`repro.sat.cubes`); ``cubes_cached`` of them
-    were replayed from per-cube cache entries of an earlier (interrupted)
-    run.  The class verdict is unchanged by splitting — any SAT cube yields
-    the canonical counterexample, all-UNSAT proves the class.
-    """
-
-    cubes: int
-    cubes_cached: int = 0
-    kind: str = "fanout"
-
-    @property
-    def label(self) -> str:
-        return class_label(self.index, self.kind)
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = super().to_dict()
-        data.update(
-            cubes=self.cubes,
-            cubes_cached=self.cubes_cached,
-            kind=self.kind,
-        )
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassSplit":
-        return cls(
-            design=data["design"],
-            index=data["index"],
-            cubes=data["cubes"],
-            cubes_cached=data.get("cubes_cached", 0),
-            kind=data.get("kind", "fanout"),
-        )
-
-
-@dataclass(frozen=True)
 class ClassSimFalsified(ClassEvent):
     """Bit-parallel random simulation falsified this class's miter.
 
@@ -563,7 +522,6 @@ WIRE_EVENT_TYPES: Dict[str, Type[RunEvent]] = {
         RunStarted,
         PropertyScheduled,
         ConeSimplified,
-        ClassSplit,
         ClassSimFalsified,
         SolverProgress,
         WorkerLost,

@@ -35,17 +35,20 @@ from repro.rtl.fanout import FanoutAnalysis
 #: (restarts, learned_clauses, deleted_clauses).
 #: v6: added the optional ``profile`` block (per-phase wall-time breakdown
 #: aggregated from spans; null unless the run was traced).
-#: v7: added the per-outcome cube-and-conquer telemetry ``cubes`` and
-#: ``cubes_cached`` (0 for classes settled monolithically).
+#: v7: added two per-outcome split-telemetry counters (0 for classes
+#: settled monolithically).
 #: v8: added the per-outcome ``status`` ("ok" / "timeout" / "error"), the
 #: ``inconclusive`` verdict, and the fault-tolerance counters
 #: ``execution.workers_lost`` / ``execution.tasks_retried``.
-SCHEMA_VERSION = 8
+#: v9: removed the v7 split-telemetry counters (conflict-budgeted splitting
+#: is gone; every class settles monolithically).
+SCHEMA_VERSION = 9
 
 #: Versions ``from_dict`` can still read.  Older versions are accepted
 #: because v2..v8 are purely additive (missing blocks and fields default
-#: when absent).
-READABLE_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8)
+#: when absent), and the only keys v9 dropped — the v7 split counters —
+#: are ignored on read.
+READABLE_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8, 9)
 
 
 def check_schema_version(data: Dict[str, Any], what: str = "report") -> None:
@@ -107,11 +110,6 @@ class PropertyOutcome:
     # which the design diverged from the golden model (None when it held).
     depth_reached: Optional[int] = None
     first_divergence_cycle: Optional[int] = None
-    # Cube-and-conquer bookkeeping (0 for classes settled monolithically):
-    # the number of cube tasks this class was split into, and how many of
-    # those verdicts were replayed from per-cube cache entries.
-    cubes: int = 0
-    cubes_cached: int = 0
     # How the class settled: "ok" (a real verdict), "timeout" (the check
     # exceeded ``check_timeout_s``; ``result`` carries partial telemetry),
     # or "error" (the task's worker died repeatedly and was quarantined).
@@ -441,8 +439,6 @@ def _outcome_to_dict(outcome: PropertyOutcome) -> Dict[str, Any]:
         "nodes_after": result.nodes_after,
         "merged_nodes": result.merged_nodes,
         "sweep_s": result.sweep_seconds,
-        "cubes": outcome.cubes,
-        "cubes_cached": outcome.cubes_cached,
         "status": outcome.status,
     }
 
@@ -477,8 +473,6 @@ def _outcome_from_dict(data: Dict[str, Any]) -> PropertyOutcome:
         resolved_spurious=data.get("resolved_spurious", 0),
         depth_reached=data.get("depth_reached"),
         first_divergence_cycle=data.get("first_divergence_cycle"),
-        cubes=data.get("cubes", 0),
-        cubes_cached=data.get("cubes_cached", 0),
         status=data.get("status", "ok"),
     )
 

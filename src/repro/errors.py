@@ -48,8 +48,9 @@ class ConflictLimitExceeded(SolverError):
     """Raised when a budgeted SAT call exhausts its conflict limit.
 
     The persistent solver is left backtracked to level 0 and fully reusable;
-    the caller decides how to proceed (typically by splitting the check into
-    cube tasks, see :mod:`repro.sat.cubes`).
+    the caller decides how to proceed.  Its caller is fraig's bounded
+    equivalence proof (:mod:`repro.aig.fraig`), which treats a blown limit
+    as "unproven" and leaves the candidate pair unmerged.
     """
 
 

@@ -28,7 +28,6 @@ from repro.exec.executor import (
     ChunkOutcome,
     ChunkTask,
     ContextSeed,
-    CubeTask,
     Executor,
     ProcessPoolExecutor,
     SerialExecutor,
@@ -38,22 +37,14 @@ from repro.exec.fingerprint import (
     CACHE_SCHEMA_VERSION,
     class_cache_key,
     config_fingerprint,
-    cube_cache_key,
     module_fingerprint,
-    split_cache_key,
 )
 from repro.exec.records import (
     ClassResult,
-    CubeVerdict,
-    SplitResult,
     class_result_from_record,
     class_result_to_record,
-    cube_verdict_from_record,
-    cube_verdict_to_record,
     normalized_batch_report_dict,
     normalized_report_dict,
-    split_result_from_record,
-    split_result_to_record,
     task_entry_from_record,
     task_entry_to_record,
 )
@@ -66,33 +57,24 @@ __all__ = [
     "ChunkTask",
     "ClassResult",
     "ContextSeed",
-    "CubeTask",
-    "CubeVerdict",
     "DesignPlan",
     "DesignWorkContext",
     "Executor",
     "ProcessPoolExecutor",
     "ResultCache",
     "SerialExecutor",
-    "SplitResult",
     "WorkUnit",
     "class_cache_key",
     "class_result_from_record",
     "class_result_to_record",
     "config_fingerprint",
     "create_executor",
-    "cube_cache_key",
-    "cube_verdict_from_record",
-    "cube_verdict_to_record",
     "module_fingerprint",
     "normalized_batch_report_dict",
     "normalized_report_dict",
     "resolved_backend_name",
     "run_plans",
     "shard_indices",
-    "split_cache_key",
-    "split_result_from_record",
-    "split_result_to_record",
     "task_entry_from_record",
     "task_entry_to_record",
 ]

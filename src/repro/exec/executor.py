@@ -33,7 +33,7 @@ import warnings
 from abc import ABC, abstractmethod
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: Per-worker bound on live design contexts.  Each context holds a full
 #: IpcEngine (AIG + CNF + solver state), so an unbounded cache would grow
@@ -42,12 +42,7 @@ MAX_CONTEXTS_PER_WORKER = 4
 
 from repro.errors import ReproError
 from repro.exec import faults as _faults
-from repro.exec.records import (
-    Cube,
-    TaskEntry,
-    task_entry_from_record,
-    task_entry_to_record,
-)
+from repro.exec.records import ClassResult, task_entry_from_record, task_entry_to_record
 from repro.exec.worker import DesignWorkContext, WorkUnit
 from repro.ipc.engine import IpcEngine
 from repro.rtl.fanout import FanoutAnalysis
@@ -56,56 +51,21 @@ from repro.rtl.netlist import DependencyGraph
 
 @dataclass(frozen=True)
 class ChunkTask:
-    """One schedulable shard: a run of property classes of one design.
-
-    ``allow_split`` lets workers turn a budget-exhausted class into a
-    :class:`~repro.exec.records.SplitResult` (the default); the reducer's
-    canonical re-settle of a cube-SAT class sets it False to force a final
-    verdict.
-    """
+    """One schedulable shard: a run of property classes of one design."""
 
     task_id: int
     design_key: str
     indices: Tuple[int, ...]
     stop_on_failure: bool
-    allow_split: bool = True
-
-
-@dataclass(frozen=True)
-class CubeTask:
-    """One schedulable cube: an assumption-prefix slice of one hard class.
-
-    Spawned dynamically mid-run when a class's monolithic check exhausts its
-    conflict budget.  The scheduler submits cubes *urgent* so they re-enter
-    the shared work-stealing queue ahead of the remaining shards — their
-    verdicts unblock a class the reducer is already waiting on.
-    """
-
-    task_id: int
-    design_key: str
-    index: int
-    cube: Cube
-
-
-#: Anything the work-stealing queue schedules.  ``ChunkTask`` was the whole
-#: story when "class" and "work unit" were synonyms; cube-and-conquer makes
-#: the unit of work splittable, so the queue now carries both.
-Task = Union[ChunkTask, CubeTask]
 
 
 @dataclass
 class ChunkOutcome:
-    """The settled results of one task plus solver-work accounting.
-
-    ``results`` entries are :class:`ClassResult`/:class:`SplitResult` for
-    chunk tasks and a single :class:`CubeVerdict` for cube tasks — the tagged
-    record transport (:func:`repro.exec.records.task_entry_to_record`) keeps
-    the three indistinguishable to the queue machinery.
-    """
+    """The settled class results of one task plus solver-work accounting."""
 
     task_id: int
     design_key: str
-    results: List[TaskEntry]
+    results: List[ClassResult]
     stats: Dict[str, object]
     worker: str
     skipped: bool = False
@@ -190,23 +150,17 @@ class Executor(ABC):
         return self.workers
 
     @abstractmethod
-    def submit(self, tasks: Sequence[Task], urgent: bool = False) -> None:
-        """Enqueue tasks; they run when capacity (or a ``wait``) demands it.
-
-        ``urgent`` places them *ahead* of all pending work, preserving their
-        relative order — the scheduler uses it for dynamically spawned cube
-        tasks, whose verdicts gate a class result it is already reducing.
-        """
+    def submit(self, tasks: Sequence[ChunkTask]) -> None:
+        """Enqueue tasks; they run when capacity (or a ``wait``) demands it."""
 
     @abstractmethod
     def wait(self, task_id: int) -> ChunkOutcome:
         """Block until the submitted task ``task_id`` finishes; return its outcome."""
 
-    def run(self, tasks: Sequence[Task]) -> Iterator[ChunkOutcome]:
+    def run(self, tasks: Sequence[ChunkTask]) -> Iterator[ChunkOutcome]:
         """Execute ``tasks``, yielding one outcome per task in task order.
 
-        Convenience wrapper over :meth:`submit`/:meth:`wait` for callers with
-        a fixed task list and no mid-run spawning.
+        Convenience wrapper over :meth:`submit`/:meth:`wait`.
         """
         self.submit(tasks)
         for task in tasks:
@@ -239,7 +193,7 @@ class SerialExecutor(Executor):
         self._seeds = seeds or {}
         self._contexts = ContextPool(self._build_context)
         self._cancelled: Set[str] = set()
-        self._pending: "deque[Task]" = deque()
+        self._pending: "deque[ChunkTask]" = deque()
         self._done: Dict[int, ChunkOutcome] = {}
 
     @property
@@ -256,11 +210,8 @@ class SerialExecutor(Executor):
             graph=seed.graph,
         )
 
-    def submit(self, tasks: Sequence[Task], urgent: bool = False) -> None:
-        if urgent:
-            self._pending.extendleft(reversed(list(tasks)))
-        else:
-            self._pending.extend(tasks)
+    def submit(self, tasks: Sequence[ChunkTask]) -> None:
+        self._pending.extend(tasks)
 
     def wait(self, task_id: int) -> ChunkOutcome:
         if task_id in self._done:
@@ -275,7 +226,7 @@ class SerialExecutor(Executor):
             self._done[task.task_id] = outcome
         raise ReproError(f"unknown task id {task_id}")
 
-    def _execute(self, task: Task) -> ChunkOutcome:
+    def _execute(self, task: ChunkTask) -> ChunkOutcome:
         if task.design_key in self._cancelled:
             return ChunkOutcome(
                 task_id=task.task_id,
@@ -286,13 +237,7 @@ class SerialExecutor(Executor):
                 skipped=True,
             )
         context = self._contexts.get(task.design_key)
-        if isinstance(task, CubeTask):
-            verdict, stats = context.run_cube(task.index, task.cube)
-            results: List[TaskEntry] = [verdict]
-        else:
-            results, stats = context.run_chunk(
-                task.indices, task.stop_on_failure, allow_split=task.allow_split
-            )
+        results, stats = context.run_chunk(task.indices, task.stop_on_failure)
         return ChunkOutcome(
             task_id=task.task_id,
             design_key=task.design_key,
@@ -361,13 +306,7 @@ def _pool_worker_main(worker_name, units, task_queue, result_queue, claim_queue)
             os.kill(os.getpid(), signal.SIGKILL)
         try:
             context = contexts.get(task.design_key)
-            if isinstance(task, CubeTask):
-                verdict, stats = context.run_cube(task.index, task.cube)
-                entries: List[TaskEntry] = [verdict]
-            else:
-                entries, stats = context.run_chunk(
-                    task.indices, task.stop_on_failure, allow_split=task.allow_split
-                )
+            entries, stats = context.run_chunk(task.indices, task.stop_on_failure)
             records = [task_entry_to_record(entry) for entry in entries]
             result_queue.put((task.task_id, task.design_key, records, stats, worker_name, None))
         except Exception:  # noqa: BLE001 - crossing a process boundary
@@ -402,13 +341,13 @@ class ProcessPoolExecutor(Executor):
         self._claim_queue = None
         self._cancelled: Set[str] = set()
         self._closed = False
-        self._pending: "deque[Task]" = deque()
+        self._pending: "deque[ChunkTask]" = deque()
         self._completed: Dict[int, ChunkOutcome] = {}
         self._outstanding = 0
         # Supervision state: which worker holds which task, the fed-but-
         # unfinished tasks by id (for requeueing), and per-task retry counts.
         self._inflight_by_worker: Dict[str, List[int]] = {}
-        self._inflight_tasks: Dict[int, Task] = {}
+        self._inflight_tasks: Dict[int, ChunkTask] = {}
         self._retry_counts: Dict[int, int] = {}
         self._unattributed_deaths = 0
         self.workers_lost = 0
@@ -427,8 +366,8 @@ class ProcessPoolExecutor(Executor):
         """Fork workers lazily, growing the pool up to ``jobs`` as demand does.
 
         The first submit sizes the pool to its task count (a pool never
-        forks more processes than there is work); later submits — e.g. a
-        burst of cube tasks from a split — may grow it toward ``jobs``.
+        forks more processes than there is work); respawns after a worker
+        death refill it the same way.
         """
         if self._task_queue is None:
             self._task_queue = self._mp.Queue()
@@ -453,24 +392,21 @@ class ProcessPoolExecutor(Executor):
             process.start()
             self._processes.append(process)
 
-    def submit(self, tasks: Sequence[Task], urgent: bool = False) -> None:
+    def submit(self, tasks: Sequence[ChunkTask]) -> None:
         if self._closed:
             raise ReproError("executor is closed")
         tasks = list(tasks)
         if not tasks:
             return
-        if urgent:
-            self._pending.extendleft(reversed(tasks))
-        else:
-            self._pending.extend(tasks)
+        self._pending.extend(tasks)
         self._ensure_workers(len(self._pending) + self._outstanding)
         self._feed()
 
     def _feed(self) -> None:
         """Keep at most ``2 × workers`` tasks in flight.
 
-        The bound keeps queue memory flat and gives ``cancel_design`` (and
-        urgent cube submissions) a window to act on still-pending shards.
+        The bound keeps queue memory flat and gives ``cancel_design`` a
+        window to act on still-pending shards.
         """
         max_outstanding = 2 * max(1, len(self._processes))
         while self._pending and self._outstanding < max_outstanding:
@@ -617,7 +553,7 @@ class ProcessPoolExecutor(Executor):
             )
         return self._completed.pop(task_id)
 
-    def run(self, tasks: Sequence[Task]) -> Iterator[ChunkOutcome]:
+    def run(self, tasks: Sequence[ChunkTask]) -> Iterator[ChunkOutcome]:
         if self._closed:
             raise ReproError("executor is closed")
         if not tasks:

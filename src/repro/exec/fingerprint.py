@@ -43,14 +43,16 @@ from repro.rtl.ir import Module
 #: canonical witness settle runs solver inprocessing between checks
 #: (vivified clauses propagate differently, so the CDCL search may land on
 #: a different satisfying assignment than v4's) — witnesses cached by
-#: earlier versions must not replay.  v6: outcome records gained the
-#: cube-and-conquer telemetry (``cubes``, ``cubes_cached``), and the cache
-#: gained two new record types under their own key shapes — split records
-#: (the cube set of an aborted monolithic solve) and per-cube verdicts.
+#: earlier versions must not replay.  v6: outcome records gained two split
+#: telemetry counters, and the cache gained two record types of the
+#: (since removed) conflict-budgeted splitting under their own key shapes.
 #: v7: outcome records gained the ``status`` field and the ``timeout`` /
 #: ``error`` terminals (fault-tolerant execution) — older readers would
-#: reject the new terminals, so the layouts must not alias.
-CACHE_SCHEMA_VERSION = 7
+#: reject the new terminals, so the layouts must not alias.  v8: splitting
+#: is gone — outcome records lost the v6 split counters, the split record
+#: types are no longer written, and the config fingerprint no longer feeds
+#: the split knobs; v7 entries miss instead of aliasing.
+CACHE_SCHEMA_VERSION = 8
 
 
 class _Hasher:
@@ -194,16 +196,6 @@ def config_fingerprint(config: DetectionConfig, backend_name: str) -> str:
         hasher.feed("waivers")
         for signal in sorted(config.waived_signals()):
             hasher.feed(signal)
-        # Cube-and-conquer knobs (combinational only: the sequential mode
-        # never splits).  Splitting preserves verdicts, witnesses and
-        # normalized reports, but it changes which record types a run
-        # writes (split records, per-cube verdicts) and which budgeted
-        # telemetry a class record carries — and per-cube entries are only
-        # resumable when the budget and depth that produced them are
-        # pinned.  The budget/depth values are inert with split off.
-        hasher.feed(f"split/{config.split}")
-        if config.split:
-            hasher.feed(f"split-budget/{config.split_conflicts}/{config.split_depth}")
     return hasher.hexdigest()
 
 
@@ -229,36 +221,4 @@ def class_cache_key(module_fp: str, config_fp: str, index: int) -> str:
     hasher.feed(module_fp)
     hasher.feed(config_fp)
     hasher.feed(f"class/{index}")
-    return hasher.hexdigest()
-
-
-def split_cache_key(module_fp: str, config_fp: str, index: int) -> str:
-    """Cache key of a class's split record (its deterministic cube set).
-
-    Written when a class's monolithic attempt blows its conflict budget, so
-    an interrupted run can re-enter the reduce stage without repeating the
-    budgeted attempt or the cube-selection lookahead.
-    """
-    hasher = _Hasher()
-    hasher.feed(f"repro-result-cache/v{CACHE_SCHEMA_VERSION}")
-    hasher.feed(module_fp)
-    hasher.feed(config_fp)
-    hasher.feed(f"split/{index}")
-    return hasher.hexdigest()
-
-
-def cube_cache_key(module_fp: str, config_fp: str, index: int, cube) -> str:
-    """Cache key of one cube verdict: the class key extended by the cube.
-
-    ``cube`` is the portable literal tuple
-    ``((instance, time, signal, bit, value), ...)``; each literal is fed as
-    its own token so cube boundaries are part of the digest.
-    """
-    hasher = _Hasher()
-    hasher.feed(f"repro-result-cache/v{CACHE_SCHEMA_VERSION}")
-    hasher.feed(module_fp)
-    hasher.feed(config_fp)
-    hasher.feed(f"class/{index}/cube")
-    for instance, time, signal, bit, value in cube:
-        hasher.feed(f"{instance}/{time}/{signal}/{bit}/{value}")
     return hasher.hexdigest()

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List
 
 from repro.core.events import (
     CexFound,
     CexWaived,
     ClassProven,
     ClassSimFalsified,
-    ClassSplit,
     ConeSimplified,
     PropertyScheduled,
     RunEvent,
@@ -91,16 +90,6 @@ class ClassResult:
             )
         ]
         final = self.outcome.result
-        if self.outcome.cubes > 1:
-            events.append(
-                ClassSplit(
-                    design=self.design,
-                    index=self.index,
-                    cubes=self.outcome.cubes,
-                    cubes_cached=self.outcome.cubes_cached,
-                    kind=self.kind,
-                )
-            )
         if final.merged_nodes or (
             final.nodes_before and final.nodes_after < final.nodes_before
         ):
@@ -190,53 +179,6 @@ class ClassResult:
         return events
 
 
-#: A portable cube: a tuple of ``(instance, time, signal, bit, value)``
-#: literals over free leaf bits (see :mod:`repro.sat.cubes` and
-#: :meth:`repro.ipc.engine.IpcEngine.plan_cubes`).
-Cube = Tuple[Tuple[int, int, str, int, int], ...]
-
-
-@dataclass
-class SplitResult:
-    """A class whose monolithic solve was aborted and cubed (not settled).
-
-    Workers return this instead of a :class:`ClassResult` when the budgeted
-    first SAT call of a class blows ``DetectionConfig.split_conflicts``; the
-    scheduler's reducer then turns the cubes into :class:`CubeVerdict` tasks
-    and merges their verdicts back into one final class result.
-    ``outcome_template`` is the serialized proven-case
-    :class:`PropertyOutcome` (its deterministic fields — merged/clause
-    assumption counts, structural status — are set before any preprocessing
-    and are therefore identical to what the monolithic solve would report).
-    """
-
-    design: str
-    index: int
-    kind: str
-    property_name: str
-    commitments: int
-    cubes: List[Cube]
-    outcome_template: Dict[str, Any]
-
-
-@dataclass
-class CubeVerdict:
-    """The verdict of one cube task: satisfiable or not, nothing more.
-
-    Counterexamples are never carried here — a SAT cube sends the class to
-    the canonical monolithic re-settle, which reproduces the same witness
-    any schedule produces.  Verdicts are semantic (engine-state independent),
-    so they are safe to cache per cube and replay across runs and job
-    counts.
-    """
-
-    design: str
-    index: int
-    cube: Cube
-    sat: bool
-    from_cache: bool = False
-
-
 # ---------------------------------------------------------------------- #
 # Record round-trip (queue transport and cache persistence)
 # ---------------------------------------------------------------------- #
@@ -304,101 +246,17 @@ def class_result_from_record(
         raise ReproError(f"malformed class record: {error}") from error
 
 
-def _cube_from_record(entry: Any) -> Cube:
-    cube = []
-    for literal in entry:
-        instance, time, signal, bit, value = literal
-        cube.append((int(instance), int(time), str(signal), int(bit), int(value)))
-    return tuple(cube)
-
-
-def split_result_to_record(split: SplitResult) -> Dict[str, Any]:
-    """Serialize a split result (queue transport and split cache entries)."""
-    return {
-        "index": split.index,
-        "kind": split.kind,
-        "property_name": split.property_name,
-        "commitments": split.commitments,
-        "cubes": [[list(literal) for literal in cube] for cube in split.cubes],
-        "outcome": dict(split.outcome_template),
-    }
-
-
-def split_result_from_record(design: str, record: Dict[str, Any]) -> SplitResult:
-    """Rebuild a split result; raises :class:`ReproError` on malformed data."""
-    try:
-        cubes = [_cube_from_record(entry) for entry in record["cubes"]]
-        outcome = record["outcome"]
-        if not cubes or not isinstance(outcome, dict):
-            raise ReproError("split record needs a non-empty cube list and an outcome")
-        return SplitResult(
-            design=design,
-            index=record["index"],
-            kind=record["kind"],
-            property_name=record["property_name"],
-            commitments=record["commitments"],
-            cubes=cubes,
-            outcome_template=dict(outcome),
-        )
-    except ReproError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as error:
-        raise ReproError(f"malformed split record: {error}") from error
-
-
-def cube_verdict_to_record(verdict: CubeVerdict) -> Dict[str, Any]:
-    """Serialize a cube verdict (queue transport and per-cube cache entries)."""
-    return {
-        "index": verdict.index,
-        "cube": [list(literal) for literal in verdict.cube],
-        "sat": bool(verdict.sat),
-    }
-
-
-def cube_verdict_from_record(
-    design: str, record: Dict[str, Any], from_cache: bool = False
-) -> CubeVerdict:
-    """Rebuild a cube verdict; raises :class:`ReproError` on malformed data."""
-    try:
-        sat = record["sat"]
-        if not isinstance(sat, bool):
-            raise ReproError(f"cube verdict 'sat' must be a bool, got {sat!r}")
-        return CubeVerdict(
-            design=design,
-            index=record["index"],
-            cube=_cube_from_record(record["cube"]),
-            sat=sat,
-            from_cache=from_cache,
-        )
-    except ReproError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as error:
-        raise ReproError(f"malformed cube record: {error}") from error
-
-
-#: Anything a worker may return for one task entry.
-TaskEntry = Union[ClassResult, SplitResult, CubeVerdict]
-
-
-def task_entry_to_record(entry: TaskEntry) -> Dict[str, Any]:
-    """Type-tagged union serialization for the executor's result queue."""
-    if isinstance(entry, SplitResult):
-        return {"entry": "split", **split_result_to_record(entry)}
-    if isinstance(entry, CubeVerdict):
-        return {"entry": "cube", **cube_verdict_to_record(entry)}
+def task_entry_to_record(entry: ClassResult) -> Dict[str, Any]:
+    """Tagged serialization for the executor's result queue."""
     return {"entry": "class", **class_result_to_record(entry)}
 
 
-def task_entry_from_record(design: str, record: Dict[str, Any]) -> TaskEntry:
+def task_entry_from_record(design: str, record: Dict[str, Any]) -> ClassResult:
     """Inverse of :func:`task_entry_to_record`; :class:`ReproError` on bad tags."""
     tag = record.get("entry", "class")
-    if tag == "split":
-        return split_result_from_record(design, record)
-    if tag == "cube":
-        return cube_verdict_from_record(design, record)
-    if tag == "class":
-        return class_result_from_record(design, record)
-    raise ReproError(f"unknown task entry tag {tag!r}")
+    if tag != "class":
+        raise ReproError(f"unknown task entry tag {tag!r}")
+    return class_result_from_record(design, record)
 
 
 # ---------------------------------------------------------------------- #
@@ -423,11 +281,6 @@ _VOLATILE_OUTCOME_KEYS = (
     "nodes_after",
     "merged_nodes",
     "sweep_s",
-    # Cube-and-conquer telemetry: whether a class split (and how many cube
-    # verdicts the cache replayed) depends on the budget knobs and on warm
-    # cache state, never on the class's semantic outcome.
-    "cubes",
-    "cubes_cached",
 )
 
 

@@ -36,16 +36,7 @@ from repro.ipc.transition import SymbolicFrame, TransitionEncoder
 from repro.rtl.ir import Module
 from repro.rtl.netlist import DependencyGraph
 from repro.sat.context import SolverContext
-from repro.sat.cubes import LOOKAHEAD_PATTERNS, enumerate_cubes, select_split_bits
 from repro.utils.bitvec import from_bits
-
-#: A portable cube literal: ``(instance, time, signal, bit, value)``.  Cubes
-#: name free leaf *bits*, never AIG nodes, so a cube computed on one engine
-#: can be applied on any other engine of the same module — across worker
-#: processes, runs, and cache generations.
-CubeLiteral = Tuple[int, int, str, int, int]
-Cube = Tuple[CubeLiteral, ...]
-
 
 @dataclass
 class PropertyCheckResult:
@@ -234,21 +225,13 @@ class IpcEngine:
         """Check one interval property; returns the result with optional CEX."""
         return self.finish_check(self.begin_check(prop))
 
-    def begin_check(
-        self, prop: IntervalProperty, cube: Optional[Cube] = None
-    ) -> PreparedCheck:
+    def begin_check(self, prop: IntervalProperty) -> PreparedCheck:
         """Structural stage: bit-blast, merge assumptions, discharge on the AIG.
 
         Cheap (no SAT): a commitment whose sides hash to the same literal
         vector is proven structurally.  The returned :class:`PreparedCheck`
         records whether SAT obligations remain; if so, :meth:`finish_check`
         settles them against the shared incremental solver context.
-
-        ``cube`` optionally restricts the check to an assumption prefix over
-        free leaf bits (see :mod:`repro.sat.cubes`): each
-        ``(instance, time, signal, bit, value)`` literal joins the clause
-        assumptions *before* preprocessing, so sim-first falsification and
-        the SAT search both respect the cube.
         """
         started = _time.perf_counter()
         prop.validate()
@@ -266,8 +249,6 @@ class IpcEngine:
                 frames[instance] = self._frames_for_instance(instance, window, persistent)
 
             merged, clause_assumptions = self._apply_assumption_merging(prop, frames, window)
-            if cube:
-                clause_assumptions = clause_assumptions + self._cube_literals(cube, frames)
 
             # Bit-blast both sides of every commitment.
             obligations: List[Tuple[Equality, Vector, Vector, int]] = []
@@ -360,23 +341,14 @@ class IpcEngine:
             ]
 
     def finish_check(
-        self,
-        prepared: PreparedCheck,
-        conflict_limit: Optional[int] = None,
-        want_cex: bool = True,
-        deadline_s: Optional[float] = None,
+        self, prepared: PreparedCheck, deadline_s: Optional[float] = None
     ) -> PropertyCheckResult:
         """SAT stage: settle a prepared check's remaining obligations.
 
-        ``conflict_limit`` budgets the CDCL call: when the limit is reached
-        :class:`repro.errors.ConflictLimitExceeded` propagates with the
-        persistent context backtracked and fully reusable — the caller may
-        split the check into cubes and retry.  ``deadline_s`` budgets the
-        call in wall-clock terms (absolute ``time.monotonic()`` deadline):
-        capable backends raise :class:`repro.errors.CheckDeadlineExceeded`
-        with the context equally reusable.  ``want_cex=False`` skips model
-        extraction and counterexample construction on SAT (a cube verdict
-        needs only the satisfiability bit).
+        ``deadline_s`` budgets the call in wall-clock terms (absolute
+        ``time.monotonic()`` deadline): capable backends raise
+        :class:`repro.errors.CheckDeadlineExceeded` with the persistent
+        context backtracked and fully reusable.
         """
         result = prepared.result
         if not prepared.needs_sat:
@@ -386,23 +358,17 @@ class IpcEngine:
             # Sim-first falsification already produced a concrete model; the
             # counterexample is built from it with zero CDCL calls.
             result.holds = False
-            if want_cex:
-                result.cex = self._build_counterexample(
-                    prepared.prop,
-                    prepared.frames,
-                    prepared.obligations,
-                    prepared.sim_model,
-                    prepared.window,
-                )
-        else:
-            holds, model_values = self._solve(
-                prepared,
-                conflict_limit=conflict_limit,
-                want_model=want_cex,
-                deadline_s=deadline_s,
+            result.cex = self._build_counterexample(
+                prepared.prop,
+                prepared.frames,
+                prepared.obligations,
+                prepared.sim_model,
+                prepared.window,
             )
+        else:
+            holds, model_values = self._solve(prepared, deadline_s=deadline_s)
             result.holds = holds
-            if not holds and want_cex:
+            if not holds:
                 result.cex = self._build_counterexample(
                     prepared.prop, prepared.frames, prepared.obligations, model_values, prepared.window
                 )
@@ -500,91 +466,6 @@ class IpcEngine:
         return merged, [literal for literal in clause_literals if literal != TRUE]
 
     # ------------------------------------------------------------------ #
-    # Cube splitting (cube-and-conquer, :mod:`repro.sat.cubes`)
-    # ------------------------------------------------------------------ #
-
-    def _cube_literals(self, cube: Cube, frames: Dict[int, List[SymbolicFrame]]) -> List[int]:
-        """Resolve a portable cube to AIG assumption literals on this engine.
-
-        Constant-``TRUE`` resolutions are dropped (already implied);
-        constant-``FALSE`` ones are kept so the vacuous-assumption check of
-        :meth:`begin_check` settles the cube as UNSAT without any solving.
-        """
-        literals: List[int] = []
-        for instance, time_index, signal, bit, value in cube:
-            try:
-                vector = frames[instance][time_index].vector_of(signal)
-                literal = vector[bit]
-            except (KeyError, IndexError) as error:
-                raise PropertyError(
-                    f"cube literal ({instance}, {time_index}, {signal!r}, {bit}) "
-                    f"does not name a leaf bit of this check"
-                ) from error
-            literals.append(literal if value else negate(literal))
-        return [literal for literal in literals if literal != TRUE]
-
-    def _free_leaf_bit_names(
-        self, prepared: PreparedCheck
-    ) -> Dict[int, Tuple[int, int, str, int]]:
-        """Map free-leaf input nodes to portable ``(instance, time, signal, bit)``.
-
-        Merged leaves share one input vector; each node keeps the
-        lexicographically smallest of its names, so the chosen name is the
-        same on every engine regardless of which instance was bound first.
-        """
-        module = self._module
-        names: Dict[int, Tuple[int, int, str, int]] = {}
-        for instance in sorted(prepared.frames):
-            for time_index, frame in enumerate(
-                prepared.frames[instance][: prepared.window + 1]
-            ):
-                for signal in sorted(frame.leaves):
-                    free = module.is_input(signal) or (
-                        module.is_register(signal) and time_index == 0
-                    )
-                    if not free:
-                        continue
-                    for bit, literal in enumerate(frame.leaves[signal]):
-                        node = literal >> 1
-                        if self._encoder.aig.is_input(node):
-                            names.setdefault(node, (instance, time_index, signal, bit))
-        return names
-
-    def plan_cubes(
-        self,
-        prepared: PreparedCheck,
-        depth: int,
-        num_patterns: int = LOOKAHEAD_PATTERNS,
-    ) -> List[Cube]:
-        """Split a prepared check into up to ``2^depth`` covering cubes.
-
-        Branching bits come from the lookahead of
-        :func:`repro.sat.cubes.select_split_bits` over the check's miter and
-        assumption cone.  Returns fewer cubes when the cone has fewer than
-        ``depth`` eligible bits, and ``[]`` when it has none (the caller then
-        falls back to the monolithic solve).  Deterministic on a freshly
-        built engine: selection depends only on cone structure and portable
-        leaf names.
-        """
-        names = self._free_leaf_bit_names(prepared)
-        if not names:
-            return []
-        roots = [prepared.miter] + list(prepared.clause_assumptions)
-        chosen = select_split_bits(
-            self._encoder.aig,
-            roots,
-            [(node, name) for node, name in names.items()],
-            depth,
-            num_patterns=num_patterns,
-        )
-        if not chosen:
-            return []
-        return [
-            tuple(name + (value,) for name, value in pairs)
-            for pairs in enumerate_cubes([names[node] for node in chosen])
-        ]
-
-    # ------------------------------------------------------------------ #
     # Term evaluation
     # ------------------------------------------------------------------ #
 
@@ -614,11 +495,7 @@ class IpcEngine:
     # ------------------------------------------------------------------ #
 
     def _solve(
-        self,
-        prepared: PreparedCheck,
-        conflict_limit: Optional[int] = None,
-        want_model: bool = True,
-        deadline_s: Optional[float] = None,
+        self, prepared: PreparedCheck, deadline_s: Optional[float] = None
     ) -> Tuple[bool, Dict[int, int]]:
         """Settle a prepared check's miter against the shared solver context.
 
@@ -634,11 +511,7 @@ class IpcEngine:
             context.literal_of(literal) for literal in prepared.clause_assumptions
         ]
         result = prepared.result
-        outcome = context.solve(
-            assumption_literals + [goal_literal],
-            conflict_limit=conflict_limit,
-            deadline_s=deadline_s,
-        )
+        outcome = context.solve(assumption_literals + [goal_literal], deadline_s=deadline_s)
         result.cnf_vars = context.num_vars
         result.cnf_clauses = context.num_clauses
         result.cnf_new_clauses = outcome.new_clauses
@@ -649,8 +522,6 @@ class IpcEngine:
         result.sat_decisions = outcome.result.decisions
         if not outcome.satisfiable:
             return True, {}
-        if not want_model:
-            return False, {}
 
         # Map the CNF model back to AIG input-node values.  Only inputs in the
         # support of *this* check's constraints are extracted; variables that

@@ -288,6 +288,27 @@ class TestExecutionFlags:
         with pytest.raises(SystemExit):
             main(["cache", "stats"])
 
+    @pytest.mark.parametrize(
+        "flag", [["--no-split"], ["--split-conflicts", "5"], ["--split-depth", "2"]]
+    )
+    def test_retired_split_flags_are_usage_errors(self, clean_file, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--verilog", clean_file, "--top", "widget", *flag])
+        assert excinfo.value.code == 2
+
+    def test_submission_overlay_loads_back_into_the_same_config(self):
+        from repro.api import DetectionConfig
+        from repro.cli import _submission_config_dict
+
+        args = build_parser().parse_args(
+            ["submit", "--benchmark", "AES-T100", "--waive", "x", "--check-all"]
+        )
+        overlay = _submission_config_dict(args)
+        loaded = DetectionConfig.from_dict(json.loads(json.dumps(overlay)))
+        assert loaded.to_dict() == {**DetectionConfig().to_dict(), **overlay}
+        assert not loaded.stop_at_first_failure
+        assert loaded.waived_signals() == ["x"]
+
 
 class TestReportSubcommand:
     def test_report_renders_saved_run(self, trojaned_file, tmp_path, capsys):

@@ -20,7 +20,6 @@ from repro.core.events import (
     ClassEvent,
     ClassProven,
     ClassSimFalsified,
-    ClassSplit,
     ConeSimplified,
     EventBus,
     PropertyScheduled,
@@ -44,7 +43,6 @@ _SIMPLE_TYPES = (
     RunStarted,
     PropertyScheduled,
     ConeSimplified,
-    ClassSplit,
     ClassSimFalsified,
     CexWaived,
     SolverProgress,
@@ -73,9 +71,8 @@ def harvested_events():
     with cross-class fanin contributes SAT proofs, sim-falsifications, and
     waived spurious counterexamples.  ``ConeSimplified`` (which needs a
     sweep-friendly cone shape), ``SolverProgress`` (a heartbeat the
-    solver only emits on long solves), ``ClassSplit`` (which needs a
-    check hard enough to blow the conflict budget) and ``WorkerLost``
-    (which needs a worker process to die repeatedly) are synthesized.
+    solver only emits on long solves) and ``WorkerLost`` (which needs a
+    worker process to die repeatedly) are synthesized.
     """
     # Load the sibling conftest by path: a bare `import conftest` can
     # resolve to another directory's conftest in a full-repo pytest run.
@@ -116,9 +113,6 @@ def harvested_events():
         ConeSimplified(
             design="pipe", index=1, nodes_before=24, nodes_after=9, merged_nodes=5
         )
-    )
-    events.append(
-        ClassSplit(design="pipe", index=1, cubes=4, cubes_cached=1)
     )
     events.append(
         SolverProgress(
@@ -195,40 +189,6 @@ class TestWireRoundTrip:
             assert restored.auto_resolvable == event.auto_resolvable
             assert (restored.diagnosis is None) == (event.diagnosis is None)
             assert restored.label == event.label
-
-
-class TestClassSplitWireFormat:
-    """The exact over-the-wire shape of ClassSplit is a compatibility
-    contract: serve's SSE stream and journaled queue replay it across
-    daemon versions, so key names and defaulting are pinned here."""
-
-    def test_to_dict_is_the_exact_documented_payload(self):
-        event = ClassSplit(design="widget", index=3, cubes=8, cubes_cached=5)
-        assert event.to_dict() == {
-            "event": "ClassSplit",
-            "design": "widget",
-            "index": 3,
-            "kind": "fanout",
-            "cubes": 8,
-            "cubes_cached": 5,
-        }
-
-    def test_from_dict_round_trips_and_defaults_optional_keys(self):
-        event = ClassSplit(
-            design="widget", index=2, cubes=4, cubes_cached=4, kind="init"
-        )
-        assert event_from_dict(event.to_dict()) == event
-        # Older producers omit cubes_cached/kind: the reader must default
-        # them rather than reject the payload.
-        sparse = {"event": "ClassSplit", "design": "w", "index": 0, "cubes": 2}
-        restored = event_from_dict(sparse)
-        assert restored == ClassSplit(design="w", index=0, cubes=2)
-        assert restored.cubes_cached == 0
-        assert restored.kind == "fanout"
-
-    def test_malformed_payload_is_a_repro_error(self):
-        with pytest.raises(ReproError, match="malformed ClassSplit"):
-            event_from_dict({"event": "ClassSplit", "design": "w", "index": 0})
 
 
 class TestWireDispatchErrors:

@@ -124,13 +124,6 @@ class TestFingerprints:
         (dict(), dict(sim_patterns=128)),
         (dict(), dict(fraig_rounds=2)),
         (dict(), dict(inprocess=False)),
-        # Cube splitting: the budget decides whether a class settles as one
-        # record or as a split + cube-verdict family, and the depth decides
-        # the cube set itself — entries from different splitting regimes
-        # must never alias.
-        (dict(), dict(split=False)),
-        (dict(), dict(split_conflicts=50000)),
-        (dict(), dict(split_depth=3)),
         # A check deadline changes which classes settle vs. degrade to an
         # inconclusive timeout outcome, so timed and untimed runs (and runs
         # with different deadlines) must never share cache entries.
@@ -173,6 +166,15 @@ class TestFingerprints:
             f"fingerprint-sensitivity table nor declared execution-only; add "
             f"them to one (and to config_fingerprint if they change results)"
         )
+
+    def test_retired_overlay_keys_leave_the_fingerprint_unchanged(self):
+        from repro.core.config import RETIRED_FIELDS
+
+        overlay = {"sim_patterns": 32}
+        retired = {**overlay, **dict.fromkeys(RETIRED_FIELDS, 3)}
+        assert config_fingerprint(
+            DetectionConfig.from_dict(retired), "python"
+        ) == config_fingerprint(DetectionConfig.from_dict(overlay), "python")
 
     def test_sequential_fingerprint_ignores_combinational_only_knobs(self):
         # Waivers, traced inputs and the property-shape switches play no
@@ -246,6 +248,21 @@ class TestResultCacheStore:
         path = cache._path_for(key)
         entry = json.loads(path.read_text())
         entry["cache_schema"] = 999
+        path.write_text(json.dumps(entry))
+        assert cache.get(key) is None
+
+    def test_previous_cache_schema_is_a_miss(self, tmp_path):
+        # Entries written before the v8 bump may carry records of the
+        # removed class splitting; they must miss, never alias a class.
+        from repro.exec import CACHE_SCHEMA_VERSION
+
+        cache = ResultCache(str(tmp_path))
+        key = class_cache_key("m", "c", 0)
+        cache.put(key, {"payload": 1})
+        path = cache._path_for(key)
+        entry = json.loads(path.read_text())
+        assert entry["cache_schema"] == CACHE_SCHEMA_VERSION == 8
+        entry["cache_schema"] = CACHE_SCHEMA_VERSION - 1
         path.write_text(json.dumps(entry))
         assert cache.get(key) is None
 

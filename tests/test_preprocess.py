@@ -160,6 +160,22 @@ class TestFraigSweep:
         assert swept.roots[0] == FALSE  # proven equivalent -> miter collapses
         assert _functions_agree(aig, miter, swept.roots[0])
 
+    def test_blown_conflict_limit_leaves_the_pair_unproven(self):
+        # Every UNSAT proof needs at least one conflict, so a limit of one
+        # aborts it: the pair counts as unknown and is never merged.
+        aig, left, right = self._duplicated_cone()
+        miter = aig.xor(left, right)
+        fraig = FraigContext(
+            aig=aig,
+            context=SolverContext(aig, backend="python"),
+            patterns=PatternSet(64),
+            conflict_limit=1,
+        )
+        swept, stats = fraig.sweep([miter])
+        assert stats.proofs_unknown >= 1
+        assert stats.merged_nodes == 0 and not fraig.merges
+        assert _functions_agree(aig, miter, swept.roots[0])
+
     def test_sweep_proves_constant_trigger_cones(self):
         aig = AIG()
         a = aig.add_input("a")

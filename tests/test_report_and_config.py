@@ -53,6 +53,45 @@ class TestDetectionConfig:
         assert config.cache_dir is None
         assert config.use_cache
 
+    def test_from_dict_drops_only_the_retired_split_fields(self):
+        # Submission overlays and journaled queue entries written before
+        # conflict-budgeted splitting was removed carry its three knobs.
+        overlay = DetectionConfig().to_dict()
+        for knob in ("jobs", "cache_dir", "use_cache", "trace", "task_retries"):
+            del overlay[knob]
+        overlay.update(split=True, split_conflicts=20000, split_depth=2)
+        assert DetectionConfig.from_dict(overlay) == DetectionConfig()
+        with pytest.raises(ConfigError, match="split_budget"):
+            DetectionConfig.from_dict({**overlay, "split_budget": 100})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("split", False), ("split_conflicts", 5), ("split_depth", 10)],
+    )
+    def test_each_retired_field_is_dropped_on_its_own(self, key, value):
+        # Dropping a retired key leaves the keys beside it in effect.
+        loaded = DetectionConfig.from_dict({"sim_patterns": 32, key: value})
+        assert loaded == DetectionConfig(sim_patterns=32)
+
+    @pytest.mark.parametrize(
+        "key", ["split_budget", "splits", "split_conflict", "no_split"]
+    )
+    def test_near_misses_of_retired_fields_still_raise(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config field\\(s\\) {key}"):
+            DetectionConfig.from_dict({key: 1})
+
+    def test_retired_fields_are_neither_fields_nor_serialized(self):
+        import dataclasses
+
+        from repro.core.config import RETIRED_FIELDS
+
+        names = {field.name for field in dataclasses.fields(DetectionConfig)}
+        assert len(names) == 21
+        assert not RETIRED_FIELDS & names
+        assert not RETIRED_FIELDS & set(DetectionConfig().to_dict())
+        with pytest.raises(TypeError):
+            DetectionConfig(split=True)
+
     def test_waiver_is_frozen(self):
         waiver = Waiver("x")
         with pytest.raises(Exception):
@@ -123,29 +162,6 @@ class TestConfigValidation:
             DetectionConfig(depth=-3)
         assert DetectionConfig(depth=25).depth == 25
 
-    @pytest.mark.parametrize("field", ["split_conflicts", "split_depth"])
-    def test_split_knobs_must_be_positive_integers(self, field):
-        with pytest.raises(ConfigError, match=field):
-            DetectionConfig(**{field: 0})
-        with pytest.raises(ConfigError, match=field):
-            DetectionConfig(**{field: -5})
-        with pytest.raises(ConfigError, match=field):
-            DetectionConfig(**{field: True})
-        with pytest.raises(ConfigError, match=field):
-            DetectionConfig(**{field: "2"})
-
-    def test_split_must_be_bool(self):
-        with pytest.raises(ConfigError, match="split"):
-            DetectionConfig(split=1)
-        assert DetectionConfig(split=False).split is False
-
-    def test_split_depth_capped(self):
-        # 2^depth cube tasks per split class: an accidental depth=30 would
-        # fan a single class out into a billion solver calls.
-        with pytest.raises(ConfigError, match="split_depth"):
-            DetectionConfig(split_depth=11)
-        assert DetectionConfig(split_depth=10).split_depth == 10
-
     def test_reset_values_validated(self):
         with pytest.raises(ConfigError, match="reset_values"):
             DetectionConfig(reset_values=[("count", 1)])
@@ -156,6 +172,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="reset value"):
             DetectionConfig(reset_values={"count": True})
         assert DetectionConfig(reset_values={"count": 4}).reset_values == {"count": 4}
+
+
+def _downgrade_to_v1(data):
+    # v2 only added the execution block, so v1 documents stay readable
+    # with execution defaults filled in.
+    del data["execution"]
+
+
+def _downgrade_to_v8(data):
+    # v9 only dropped the per-outcome split counters of v7/v8.
+    for outcome in data["outcomes"]:
+        outcome.update(cubes=4, cubes_cached=1)
 
 
 class TestReportSerialization:
@@ -208,16 +236,22 @@ class TestReportSerialization:
         with pytest.raises(ReproError, match="schema_version"):
             DetectionReport.from_dict(data)
 
-    def test_v1_reports_still_load(self, pipeline_module):
-        # v2 only added the execution block, so v1 documents stay readable
-        # with execution defaults filled in.
-        data = detect_trojans(pipeline_module).to_dict()
-        data["schema_version"] = 1
-        del data["execution"]
+    @pytest.mark.parametrize(
+        "version, downgrade",
+        [(1, _downgrade_to_v1), (8, _downgrade_to_v8)],
+        ids=["v1", "v8"],
+    )
+    def test_old_reports_still_load(self, pipeline_module, version, downgrade):
+        current = detect_trojans(pipeline_module).to_dict()
+        data = json.loads(json.dumps(current))
+        data["schema_version"] = version
+        downgrade(data)
         restored = DetectionReport.from_dict(data)
         assert restored.verdict is Verdict.SECURE
         assert restored.workers == 1
         assert restored.cache_hits == 0 and restored.cache_misses == 0
+        # Re-serializing yields the current schema, without retired keys.
+        assert restored.to_dict() == current
 
     def test_from_dict_rejects_missing_version(self):
         with pytest.raises(ReproError, match="schema_version"):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SolverError
+from repro.errors import ConflictLimitExceeded, SolverError
 from repro.sat.solver import SatSolver, _luby
 
 
@@ -92,24 +92,53 @@ class TestBasics:
         assert solver.num_clauses == 1
 
 
-class TestPigeonhole:
-    def _pigeonhole(self, holes):
-        """holes+1 pigeons into `holes` holes — classic small UNSAT family."""
-        pigeons = holes + 1
-        var = lambda p, h: p * holes + h + 1
-        clauses = []
-        for p in range(pigeons):
-            clauses.append([var(p, h) for h in range(holes)])
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    clauses.append([-var(p1, h), -var(p2, h)])
-        return clauses
+def pigeonhole(holes):
+    """holes+1 pigeons into `holes` holes — classic small UNSAT family."""
+    pigeons = holes + 1
+    var = lambda p, h: p * holes + h + 1
+    clauses = []
+    for p in range(pigeons):
+        clauses.append([var(p, h) for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                clauses.append([-var(p1, h), -var(p2, h)])
+    return clauses
 
+
+class TestPigeonhole:
     @pytest.mark.parametrize("holes", [2, 3, 4])
     def test_pigeonhole_unsat(self, holes):
         solver = SatSolver()
-        for clause in self._pigeonhole(holes):
+        for clause in pigeonhole(holes):
+            solver.add_clause(clause)
+        assert not solver.solve().satisfiable
+
+
+class TestConflictLimit:
+    """Conflict-budgeted solving, as fraig's bounded equivalence proofs use it."""
+
+    def test_limit_raises_and_is_a_solver_error(self):
+        solver = SatSolver()
+        for clause in pigeonhole(5):
+            solver.add_clause(clause)
+        with pytest.raises(ConflictLimitExceeded):
+            solver.solve(conflict_limit=3)
+        assert issubclass(ConflictLimitExceeded, SolverError)
+
+    def test_solver_stays_usable_after_an_aborted_call(self):
+        solver = SatSolver()
+        for clause in pigeonhole(4):
+            solver.add_clause(clause)
+        with pytest.raises(ConflictLimitExceeded):
+            solver.solve(conflict_limit=2)
+        # The aborted call backtracked to level 0: the same persistent
+        # context finishes the proof (keeping its learned clauses).
+        assert not solver.solve().satisfiable
+
+    def test_unlimited_call_never_raises(self):
+        solver = SatSolver()
+        for clause in pigeonhole(3):
             solver.add_clause(clause)
         assert not solver.solve().satisfiable
 

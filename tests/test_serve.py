@@ -20,7 +20,7 @@ import pytest
 
 from repro.api import Design, DetectionConfig, DetectionSession
 from repro.core.events import RunFinished, RunStarted
-from repro.errors import DesignError, ReproError
+from repro.errors import ConfigError, DesignError, ReproError
 from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import class_cache_key
 from repro.exec.records import normalized_report_dict
@@ -168,6 +168,23 @@ class TestPrepareSubmission:
             for body in (base, deeper, mutated)
         }
         assert len(fingerprints) == 3
+
+    def test_retired_overlay_keys_keep_the_fingerprint(self, tmp_path):
+        # `repro submit` overlays written before class splitting was removed
+        # carry its knobs; they still admit, as the same dedup identity.
+        from repro.core.config import RETIRED_FIELDS
+
+        base = {"verilog": SMALL_SOURCE, "top": "widget", "config": {}}
+        retired = {**base, "config": dict.fromkeys(RETIRED_FIELDS, 2)}
+        assert (
+            prepare_submission(base, str(tmp_path), True)[3]
+            == prepare_submission(retired, str(tmp_path), True)[3]
+        )
+
+    def test_typoed_overlay_field_is_a_config_error(self, tmp_path):
+        body = {"verilog": SMALL_SOURCE, "top": "widget", "config": {"sim_patern": 8}}
+        with pytest.raises(ConfigError, match="sim_patern"):
+            prepare_submission(body, str(tmp_path), True)
 
     def test_unknown_benchmark_raises_design_error(self, tmp_path):
         with pytest.raises(DesignError, match="unknown benchmark"):
@@ -639,6 +656,37 @@ class TestServeAdmission:
             ) == normalized_report_dict(direct.to_dict())
         finally:
             restarted.stop()
+
+    def test_journaled_job_with_retired_config_keys_completes(self, tmp_path):
+        # A job journaled before class splitting was removed carries the
+        # full overlay of that release; a restarted daemon must run it.
+        from repro.core.config import RETIRED_FIELDS
+
+        overlay = DetectionConfig().to_dict()
+        for knob in ("jobs", "cache_dir", "use_cache", "trace", "task_retries"):
+            del overlay[knob]
+        overlay.update(dict.fromkeys(RETIRED_FIELDS, 1))
+        server = AuditServer(port=0, queue_dir=str(tmp_path / "serve"), jobs=1)
+        server.start()
+        try:
+            job, _ = server.queue.submit(
+                "f" * 64,
+                {"verilog": SMALL_SOURCE, "top": "widget", "config": overlay},
+                design_name="widget",
+                mode="combinational",
+            )
+            client = ServeClient(server.url, timeout=10.0)
+            final = client.wait(job.id, timeout=60.0)
+            assert final["state"] == "done", final.get("error")
+            served = client.report(job.id)
+            direct = DetectionSession(
+                Design.from_source(SMALL_SOURCE, top="widget")
+            ).run()
+            assert normalized_report_dict(
+                served.to_dict()
+            ) == normalized_report_dict(direct.to_dict())
+        finally:
+            server.stop()
 
     def test_failed_audit_streams_error_and_allows_retry(self, tmp_path):
         # An unknown golden module elaborates only at run time? No — design

@@ -16,9 +16,8 @@ A thin consumer of the session API (:mod:`repro.api`) with seven subcommands::
 ``--verbose`` streams per-property events as they settle;
 ``--no-simplify`` / ``--sim-patterns`` / ``--fraig-rounds`` control the
 simulation-guided miter preprocessing, which is on by default;
-``--no-inprocess`` disables between-check solver simplification and
-``--sim-backend`` selects the simulation kernel; ``--mode
-sequential`` switches to bounded design-vs-golden equivalence with
+``--no-inprocess`` disables between-check solver simplification;
+``--mode sequential`` switches to bounded design-vs-golden equivalence with
 ``--depth``/``--reset-value``/``--golden-top`` and ``--vcd`` waveform
 export of the multi-cycle counterexample), ``batch`` audits
 many designs — sharded over ``--jobs`` worker processes — with cumulative
@@ -35,10 +34,6 @@ streaming.  ``submit`` is its client: it posts a design to a running
 daemon, streams events with ``--verbose``, and renders the finished report
 exactly like ``run`` does (same flags, same exit codes; ``--detach``
 returns immediately with the job id instead of waiting).
-
-The pre-subcommand invocation style (``repro-ht-detect --verilog ...``) is
-still accepted and mapped onto ``run`` / ``list-benchmarks`` with a
-deprecation notice on stderr.
 
 Exit codes: 0 — design(s) proven secure; 1 — a Trojan was suspected or
 signals stayed uncovered; 2 — usage, configuration, or I/O error.
@@ -73,8 +68,6 @@ from repro.api import (
 )
 from repro.errors import ReproError
 from repro.sat import available_backends, default_backend_name
-
-_SUBCOMMANDS = ("run", "batch", "list-benchmarks", "report", "cache", "serve", "submit")
 
 #: Flag defaults are read off a default config, so tuning a library default
 #: can never silently diverge from what the CLI passes (the batch template
@@ -216,16 +209,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
         help="disable solver inprocessing between checks (clause "
              "vivification and bounded elimination of dead per-check miter "
              "variables); the persistent clause database is left untouched",
-    )
-    from repro.aig.simvec import SIM_BACKENDS
-
-    parser.add_argument(
-        "--sim-backend",
-        choices=SIM_BACKENDS,
-        default=defaults.sim_backend,
-        help=f"bit-parallel simulation kernel (default: "
-             f"{defaults.sim_backend}; auto picks numpy for wide batches "
-             f"when installed — the kernels are bit-identical)",
     )
 
 
@@ -430,23 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _normalise_argv(argv: List[str]) -> List[str]:
-    """Map the legacy flag-only invocation style onto the subcommands."""
-    if not argv or argv[0] in _SUBCOMMANDS or argv[0] in ("-h", "--help"):
-        return argv
-    if argv[0].startswith("-"):
-        if "--list-benchmarks" in argv:
-            rest = [arg for arg in argv if arg != "--list-benchmarks"]
-            return ["list-benchmarks"] + rest
-        print(
-            "repro-ht-detect: note: flag-only invocation is deprecated; "
-            "use the 'run' subcommand",
-            file=sys.stderr,
-        )
-        return ["run"] + argv
-    return argv
-
-
 # ---------------------------------------------------------------------- #
 # Shared helpers
 # ---------------------------------------------------------------------- #
@@ -490,7 +456,6 @@ def _shared_config_kwargs(args: argparse.Namespace) -> dict:
         sim_patterns=args.sim_patterns,
         fraig_rounds=args.fraig_rounds,
         inprocess=not args.no_inprocess,
-        sim_backend=args.sim_backend,
         trace=bool(getattr(args, "trace", None)) or bool(getattr(args, "profile", False)),
         task_retries=args.task_retries,
         check_timeout_s=args.check_timeout,
@@ -935,7 +900,7 @@ _HANDLERS = {
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(_normalise_argv(argv))
+    args = parser.parse_args(argv)
 
     try:
         return _HANDLERS[args.command](args, parser)

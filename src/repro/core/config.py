@@ -11,11 +11,11 @@ from repro.errors import ConfigError
 #: flow (default) and the bounded design-vs-golden sequential mode.
 DETECTION_MODES = ("combinational", "sequential")
 
-#: Fields of the removed conflict-budgeted class splitting.  Every serialized
-#: config of the releases that had it carries them (``repro submit``
-#: overlays, queue journals); :meth:`DetectionConfig.from_dict` ignores
-#: exactly these.
-RETIRED_FIELDS = frozenset({"split", "split_conflicts", "split_depth"})
+#: Fields of removed features: the conflict-budgeted class splitting and the
+#: simulation-kernel selector.  Every serialized config of the releases that
+#: had them carries them (``repro submit`` overlays, queue journals);
+#: :meth:`DetectionConfig.from_dict` ignores exactly these.
+RETIRED_FIELDS = frozenset({"split", "split_conflicts", "split_depth", "sim_backend"})
 
 
 def _require_int(value: object, name: str, minimum: int) -> None:
@@ -176,13 +176,6 @@ class DetectionConfig:
         reduction inside the solver).  ``False`` (the CLI's
         ``--no-inprocess``) leaves the clause database untouched between
         checks.  Verdicts and counterexamples are identical either way.
-    sim_backend:
-        Simulation kernel of the random-pattern batches: ``"auto"``
-        (default) picks the numpy-vectorized kernel for wide batches when
-        numpy is installed, ``"python"`` forces the pure-Python kernel,
-        ``"numpy"`` forces the vectorized kernel (falling back to Python
-        when numpy is missing).  The kernels are bit-identical, so this is
-        purely an execution knob.
     trace:
         When true, the run records hierarchical spans (:mod:`repro.obs`):
         worker chunks collect per-phase timings and ship them back with
@@ -224,7 +217,6 @@ class DetectionConfig:
     sim_patterns: int = 64
     fraig_rounds: int = 1
     inprocess: bool = True
-    sim_backend: str = "auto"
     trace: bool = False
     task_retries: int = 2
     check_timeout_s: Optional[float] = None
@@ -270,13 +262,6 @@ class DetectionConfig:
                 raise ConfigError(
                     f"check_timeout_s must be > 0, got {self.check_timeout_s!r}"
                 )
-        from repro.aig.simvec import SIM_BACKENDS
-
-        if self.sim_backend not in SIM_BACKENDS:
-            raise ConfigError(
-                f"unknown sim backend {self.sim_backend!r}; "
-                f"available: {', '.join(SIM_BACKENDS)}"
-            )
         if self.reset_values is not None:
             if not isinstance(self.reset_values, dict):
                 raise ConfigError(
@@ -316,7 +301,6 @@ class DetectionConfig:
             "sim_patterns": self.sim_patterns,
             "fraig_rounds": self.fraig_rounds,
             "inprocess": self.inprocess,
-            "sim_backend": self.sim_backend,
             "trace": self.trace,
             "task_retries": self.task_retries,
             "check_timeout_s": self.check_timeout_s,

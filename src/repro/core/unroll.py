@@ -154,7 +154,6 @@ class SequentialUnroller:
         sim_patterns: int = DEFAULT_PATTERNS,
         fraig_rounds: int = 1,
         inprocess: bool = True,
-        sim_backend: str = "auto",
     ) -> None:
         missing = [name for name in golden.inputs if name not in design.inputs]
         if missing:
@@ -184,7 +183,6 @@ class SequentialUnroller:
         # dead per-check miter variables on the persistent context after
         # every SAT-settled check.
         self._inprocess = inprocess
-        self._sim_backend = sim_backend
         self._inprocess_runs = 0
         self._inprocess_removed = 0
         self._inprocess_eliminated = 0
@@ -382,7 +380,6 @@ class SequentialUnroller:
                 self._context,
                 sim_patterns=self._sim_patterns,
                 fraig_rounds=self._fraig_rounds,
-                sim_backend=self._sim_backend,
             )
         return self._preprocessor
 

@@ -15,12 +15,9 @@ behaviour.
 Deliberately *excluded* from the config fingerprint are the knobs that do
 not change any individual property's outcome: ``stop_at_first_failure`` and
 ``max_class`` only select *which* classes run, and ``jobs`` / ``cache_dir``
-/ ``use_cache`` only select *how* they run.  ``sim_backend`` is excluded
-too: the numpy and Python simulation kernels are bit-identical by
-construction (see :mod:`repro.aig.simd`), so not a single bit of any record
-can depend on the kernel choice.  A truncated audit therefore warms the
-cache for a later full audit, a serial run warms it for a parallel one, and
-a numpy run warms it for a machine without numpy.
+/ ``use_cache`` only select *how* they run.  A truncated audit therefore
+warms the cache for a later full audit, and a serial run warms it for a
+parallel one.
 """
 
 from __future__ import annotations
@@ -156,7 +153,7 @@ def config_fingerprint(config: DetectionConfig, backend_name: str) -> str:
     waiver list changes, while a deeper bound misses and re-proves.
 
     Pure execution knobs — ``jobs``, ``cache_dir``, ``use_cache``,
-    ``sim_backend``, ``trace`` — are deliberately excluded: the allowlist
+    ``trace`` — are deliberately excluded: the allowlist
     below feeds only the named semantic fields, so a traced run replays
     (and populates) exactly the cache entries of an untraced one.
     """

@@ -62,10 +62,7 @@ CANONICAL_SIM_PATTERNS = DEFAULT_PATTERNS
 CANONICAL_FRAIG_ROUNDS = 1
 #: Inprocessing changes which satisfying assignment later checks of the
 #: *same context* find (vivified clauses propagate differently), so the
-#: canonical settle pins it like every other search-state knob.  The sim
-#: *kernel* (``sim_backend``) is deliberately not pinned: the numpy and
-#: Python kernels are bit-identical by construction, so witnesses cannot
-#: depend on it.
+#: canonical settle pins it like every other search-state knob.
 CANONICAL_INPROCESS = True
 
 
@@ -205,7 +202,6 @@ class DesignWorkContext:
                 sim_patterns=self._config.sim_patterns,
                 fraig_rounds=self._config.fraig_rounds,
                 inprocess=self._config.inprocess,
-                sim_backend=self._config.sim_backend,
                 graph=self.graph,
             )
         return self._engine
@@ -228,7 +224,6 @@ class DesignWorkContext:
                 sim_patterns=self._config.sim_patterns,
                 fraig_rounds=self._config.fraig_rounds,
                 inprocess=self._config.inprocess,
-                sim_backend=self._config.sim_backend,
             )
         return self._unroller
 

@@ -135,7 +135,6 @@ class IpcEngine:
         sim_patterns: int = DEFAULT_PATTERNS,
         fraig_rounds: int = 1,
         inprocess: bool = True,
-        sim_backend: str = "auto",
         graph: Optional[DependencyGraph] = None,
     ) -> None:
         self._module = module
@@ -161,7 +160,6 @@ class IpcEngine:
         # per-check miter variables at level 0, keeping the shared clause
         # database from growing monotonically over hundreds of checks.
         self._inprocess = inprocess
-        self._sim_backend = sim_backend
         self._inprocess_runs = 0
         self._inprocess_removed = 0
         self._inprocess_eliminated = 0
@@ -301,7 +299,6 @@ class IpcEngine:
                 self._context,
                 sim_patterns=self._sim_patterns,
                 fraig_rounds=self._fraig_rounds,
-                sim_backend=self._sim_backend,
             )
         return self._preprocessor
 

@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.aig.aig import AIG, FALSE, TRUE, negate
@@ -142,21 +143,26 @@ def _random_cone(rng, num_inputs=5, num_gates=25):
 
 
 class TestEvaluateWords:
-    @given(st.integers(min_value=0, max_value=2**32))
-    def test_matches_scalar_evaluate_on_random_cones(self, seed):
+    # Widths straddle one 64-bit machine word and the 256-pattern mark;
+    # Python ints make every width one traversal of the cone.
+    @pytest.mark.parametrize("num_patterns", [1, 16, 64, 65, 257, 1000])
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    def test_matches_scalar_evaluate_on_random_cones(self, num_patterns, seed):
         import random
 
         rng = random.Random(seed)
         aig, root = _random_cone(rng)
         inputs = aig.inputs()
-        num_patterns = 16
         words = {node: rng.getrandbits(num_patterns) for node in inputs}
         mask = (1 << num_patterns) - 1
         word = aig.evaluate_words([root], words, mask)[0]
+        values = aig.evaluate_word_values([root], words, mask)
+        nodes = sorted(values)
         for index in range(num_patterns):
             scalar = {node: (words[node] >> index) & 1 for node in inputs}
-            expected = aig.evaluate([root], scalar)[0]
-            assert (word >> index) & 1 == expected
+            expected = aig.evaluate([root] + [2 * node for node in nodes], scalar)
+            assert (word >> index) & 1 == expected[0]
+            assert [(values[node] >> index) & 1 for node in nodes] == expected[1:]
 
     def test_constant_roots(self):
         aig = AIG()
@@ -164,6 +170,71 @@ class TestEvaluateWords:
         mask = (1 << 8) - 1
         assert aig.evaluate_words([TRUE], {}, mask) == [mask]
         assert aig.evaluate_words([FALSE], {}, mask) == [0]
+
+    def test_constant_and_input_roots_on_a_wide_batch(self):
+        import random
+
+        aig = AIG()
+        a = aig.add_input("a")
+        mask = (1 << 200) - 1
+        word = random.Random(3).getrandbits(200)
+        roots = [FALSE, TRUE, a, negate(a)]
+        assert aig.evaluate_words(roots, {a >> 1: word}, mask) == [
+            0,
+            mask,
+            word,
+            word ^ mask,
+        ]
+
+    @pytest.mark.parametrize("num_patterns", [1, 65, 300])
+    def test_complemented_roots_are_bitwise_inverses(self, num_patterns):
+        import random
+
+        rng = random.Random(num_patterns)
+        aig, root = _random_cone(rng, num_inputs=6, num_gates=40)
+        mask = (1 << num_patterns) - 1
+        words = {node: rng.getrandbits(num_patterns) for node in aig.inputs()}
+        positive, negative = aig.evaluate_words([root, negate(root)], words, mask)
+        assert positive ^ negative == mask
+        node_word = aig.evaluate_word_values([root], words, mask)[root >> 1]
+        assert positive == (node_word ^ mask if root & 1 else node_word)
+
+    def test_cones_grown_on_a_shared_aig_match_scalar_evaluate(self):
+        # The fraig sweep and the unroller append to one AIG between
+        # evaluations; nodes added later must simulate like the old ones.
+        import random
+
+        rng = random.Random(11)
+        aig, first = _random_cone(rng, num_inputs=4, num_gates=15)
+        literals = [2 * node for node in aig.inputs()]
+        for _ in range(25):
+            left = rng.choice(literals + [first]) ^ rng.randint(0, 1)
+            right = rng.choice(literals + [first]) ^ rng.randint(0, 1)
+            literals.append(aig.and_(left, right))
+        second = literals[-1]
+        num_patterns = 128
+        mask = (1 << num_patterns) - 1
+        words = {node: rng.getrandbits(num_patterns) for node in aig.inputs()}
+        got = aig.evaluate_words([first, second], words, mask)
+        for index in range(num_patterns):
+            scalar = {node: (words[node] >> index) & 1 for node in aig.inputs()}
+            expected = aig.evaluate([first, second], scalar)
+            assert [(word >> index) & 1 for word in got] == expected
+
+    def test_precomputed_cone_gives_the_same_words(self):
+        import random
+
+        rng = random.Random(5)
+        aig, root = _random_cone(rng, num_inputs=6, num_gates=40)
+        mask = (1 << 100) - 1
+        words = {node: rng.getrandbits(100) for node in aig.inputs()}
+        cone = aig.cone_nodes([root])
+        assert aig.evaluate_words([root], words, mask, cone=cone) == (
+            aig.evaluate_words([root], words, mask)
+        )
+        assert aig.evaluate_word_values([root], words, mask, cone=cone) == (
+            aig.evaluate_word_values([root], words, mask)
+        )
 
     def test_untracked_inputs_default_to_zero(self):
         aig = AIG()

@@ -1,11 +1,8 @@
 """Tests for the session-oriented public API (`repro.api`).
 
 Covers the Design loaders, event ordering and streaming semantics of
-DetectionSession.iter_results(), the subscriber bus, batch sessions, and the
-deprecation shim of detect_trojans().
+DetectionSession.iter_results(), the subscriber bus, and batch sessions.
 """
-
-import warnings
 
 import pytest
 
@@ -88,7 +85,7 @@ class TestDesignLoaders:
     def test_clock_only_module_still_loads_and_runs(self):
         # A module with no traceable data inputs is not a loader error: the
         # flow still runs and the coverage check flags everything uncovered
-        # (matching the pre-session detect_trojans behaviour).
+        # (matching the pre-session detection behaviour).
         source = """
         module ticker(input clk, output o);
           reg r;
@@ -265,15 +262,6 @@ class TestDetectionSession:
     def test_context_manager(self, pipeline_module):
         with DetectionSession(pipeline_module) as session:
             assert session.run().is_secure
-
-    def test_detect_trojans_shim_warns_and_delegates(self, pipeline_module):
-        from repro import detect_trojans
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = detect_trojans(pipeline_module)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert report.is_secure
 
 
 class TestBatchSession:

@@ -1,6 +1,9 @@
 """Tests for the repro-ht-detect subcommand CLI (a thin consumer of repro.api)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -60,23 +63,16 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             main(["run", "--verilog", clean_file])
 
-    def test_unknown_command_exits(self):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
-
-
-class TestLegacyInvocation:
-    """The pre-subcommand flag style still works, mapped onto `run`."""
-
-    def test_legacy_verilog_mode(self, clean_file, capsys):
-        assert main(["--verilog", clean_file, "--top", "widget"]) == 0
-        captured = capsys.readouterr()
-        assert "SECURE" in captured.out
-        assert "deprecated" in captured.err
-
-    def test_legacy_list_benchmarks(self, capsys):
-        assert main(["--list-benchmarks"]) == 0
-        assert "AES-T1400" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv",
+        [["frobnicate"], ["--verilog", "FILE", "--top", "widget"]],
+        ids=["unknown-command", "flag-only"],
+    )
+    def test_unknown_command_exits(self, clean_file, argv):
+        # A flag-only invocation names no subcommand: a plain usage error.
+        with pytest.raises(SystemExit) as excinfo:
+            main([clean_file if arg == "FILE" else arg for arg in argv])
+        assert excinfo.value.code == 2
 
 
 class TestRunVerilog:
@@ -289,9 +285,15 @@ class TestExecutionFlags:
             main(["cache", "stats"])
 
     @pytest.mark.parametrize(
-        "flag", [["--no-split"], ["--split-conflicts", "5"], ["--split-depth", "2"]]
+        "flag",
+        [
+            ["--no-split"],
+            ["--split-conflicts", "5"],
+            ["--split-depth", "2"],
+            ["--sim-backend", "numpy"],
+        ],
     )
-    def test_retired_split_flags_are_usage_errors(self, clean_file, flag):
+    def test_retired_flags_are_usage_errors(self, clean_file, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--verilog", clean_file, "--top", "widget", *flag])
         assert excinfo.value.code == 2
@@ -340,3 +342,20 @@ class TestReportSubcommand:
         path.write_text(json.dumps({"schema_version": 999, "design": "x", "verdict": "secure"}))
         assert main(["report", str(path)]) == 2
         assert "schema_version" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_library_and_cli_import_without_numpy(self):
+        # The simulation kernel is pure Python; a stray numpy import would
+        # add its load time and memory to every run.
+        src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src_dir)}
+        subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import repro.api, repro.cli, sys; assert 'numpy' not in sys.modules",
+            ],
+            env=env,
+            check=True,
+        )

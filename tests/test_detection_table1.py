@@ -7,7 +7,8 @@ exposes the Trojan, and that the Trojan-free designs verify as secure.
 
 import pytest
 
-from repro.core import DetectionConfig, Waiver, detect_trojans
+from repro.api import DetectionSession
+from repro.core import DetectionConfig, Waiver
 from repro.trusthub import design_names, load_design, load_module
 
 
@@ -21,7 +22,7 @@ def _config(design, with_waivers=True):
 @pytest.mark.parametrize("name", design_names(family="AES", with_trojan=True))
 def test_aes_trojan_detected_by_expected_property(name):
     design = load_design(name)
-    report = detect_trojans(load_module(name), _config(design))
+    report = DetectionSession(load_module(name), config=_config(design)).run()
     assert report.trojan_detected, f"{name}: Trojan not detected"
     assert report.detected_by == design.expected_detection, (
         f"{name}: expected {design.expected_detection}, got {report.detected_by}"
@@ -30,7 +31,7 @@ def test_aes_trojan_detected_by_expected_property(name):
 
 def test_aes_ht_free_design_is_secure():
     design = load_design("AES-HT-FREE")
-    report = detect_trojans(load_module("AES-HT-FREE"), _config(design))
+    report = DetectionSession(load_module("AES-HT-FREE"), config=_config(design)).run()
     assert report.is_secure
     assert report.coverage is not None and report.coverage.complete
     # The paper reports no spurious counterexamples for the HT-free AES runs.
@@ -40,7 +41,7 @@ def test_aes_ht_free_design_is_secure():
 @pytest.mark.parametrize("name", design_names(family="BasicRSA", with_trojan=True))
 def test_rsa_trojans_detected(name):
     design = load_design(name)
-    report = detect_trojans(load_module(name), _config(design))
+    report = DetectionSession(load_module(name), config=_config(design)).run()
     assert report.trojan_detected
     assert report.detected_by == design.expected_detection
 
@@ -50,19 +51,19 @@ def test_rsa_ht_free_needs_exactly_the_two_documented_waivers():
     module = load_module("BasicRSA-HT-FREE")
     # Without waivers the two sticky handshake flags produce counterexamples
     # (the paper's "2 spurious CEXs" on the RSA designs).
-    raw = detect_trojans(module, _config(design, with_waivers=False))
+    raw = DetectionSession(module, config=_config(design, with_waivers=False)).run()
     assert not raw.is_secure
     causes = {cause.signal for cause in raw.diagnosis.causes}
     assert causes <= set(design.recommended_waivers)
     # With the waivers the design verifies as secure.
-    waived = detect_trojans(module, _config(design))
+    waived = DetectionSession(module, config=_config(design)).run()
     assert waived.is_secure
     assert len(design.recommended_waivers) == 2
 
 
 def test_rs232_case_study():
     design = load_design("RS232-T2400")
-    report = detect_trojans(load_module("RS232-T2400"), _config(design))
+    report = DetectionSession(load_module("RS232-T2400"), config=_config(design)).run()
     assert report.trojan_detected
     # The paper reports detection by a failed fanout property (not the init
     # property and not the coverage check).
@@ -72,22 +73,23 @@ def test_rs232_case_study():
 def test_rs232_ht_free_secure_with_waivers():
     design = load_design("RS232-HT-FREE")
     module = load_module("RS232-HT-FREE")
-    raw = detect_trojans(module, _config(design, with_waivers=False))
+    raw = DetectionSession(module, config=_config(design, with_waivers=False)).run()
     assert not raw.is_secure  # legitimate cross-frame state -> spurious CEXs
-    waived = detect_trojans(module, _config(design))
+    waived = DetectionSession(module, config=_config(design)).run()
     assert waived.is_secure
 
 
 def test_detection_does_not_need_golden_model_or_waiver_for_aes():
     """The AES detections run with an empty waiver list — fully golden-free."""
     design = load_design("AES-T1400")
-    report = detect_trojans(load_module("AES-T1400"), DetectionConfig(inputs=list(design.data_inputs)))
+    config = DetectionConfig(inputs=list(design.data_inputs))
+    report = DetectionSession(load_module("AES-T1400"), config=config).run()
     assert report.detected_by == "init property"
 
 
 def test_proof_effort_stays_small():
     """Per-property proof runtimes stay in the order reported by the paper."""
     design = load_design("AES-HT-FREE")
-    report = detect_trojans(load_module("AES-HT-FREE"), _config(design))
+    report = DetectionSession(load_module("AES-HT-FREE"), config=_config(design)).run()
     assert report.max_property_runtime() < 5.0
     assert report.total_runtime_seconds < 60.0

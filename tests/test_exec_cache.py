@@ -129,15 +129,12 @@ class TestFingerprints:
         # with different deadlines) must never share cache entries.
         (dict(), dict(check_timeout_s=5.0)),
     ]
-    # ``sim_backend`` is execution-only by a stronger argument than the
-    # scheduling knobs: the numpy and Python kernels are bit-identical, so
-    # no record bit can depend on it (tests/test_sim_backends.py).
     # ``task_retries`` only decides how many times a task is re-queued after
     # a worker crash before quarantine; a surviving task's record is
     # byte-identical however many retries it took.
     _EXECUTION_ONLY_FIELDS = {
         "stop_at_first_failure", "max_class", "jobs", "cache_dir", "use_cache",
-        "sim_backend", "trace", "task_retries",
+        "trace", "task_retries",
     }
     # Hashed through config_fingerprint's resolved backend_name parameter
     # (never the raw field, which may read "auto"); sensitivity is asserted

@@ -98,6 +98,38 @@ class TestPatternSet:
         assert minimized == {a >> 1: 1, b >> 1: 1, c >> 1: 0}
         assert aig.evaluate([goal], minimized) == [1]
 
+    @pytest.mark.parametrize("num_patterns", [64, 512])
+    def test_columns_and_signatures_match_scalar_evaluate(self, num_patterns):
+        rng = random.Random(num_patterns)
+        aig, root = _random_cone(rng, num_inputs=6, num_gates=40)
+        patterns = PatternSet(num_patterns)
+        (word,) = patterns.evaluate(aig, [root])
+        signatures = node_signatures(aig, [root], patterns)
+        nodes = sorted(signatures)
+        for index in range(num_patterns):
+            assignment = patterns.extract(aig, [root], index)
+            expected = aig.evaluate([root] + [2 * node for node in nodes], assignment)
+            assert (word >> index) & 1 == expected[0]
+            assert [(signatures[node] >> index) & 1 for node in nodes] == expected[1:]
+
+    def test_minimize_assignment_over_more_than_256_candidates(self):
+        # 299 set bits: each round simulates one pattern column per
+        # candidate, so the batch is wider than four machine words.
+        aig = AIG()
+        bits = [aig.add_input(f"i{k}") for k in range(300)]
+        goals = [
+            aig.and_many(bits[:10]),  # all ten needed
+            aig.or_many(bits[100:200]),  # any one suffices
+            aig.xor(bits[250], bits[251]),  # 250 set, 251 clear
+        ]
+        start = {literal >> 1: 1 for literal in bits}
+        start[bits[251] >> 1] = 0
+        assert aig.evaluate(goals, start) == [1, 1, 1]
+        minimized = minimize_assignment(aig, goals, start)
+        assert aig.evaluate(goals, minimized) == [1, 1, 1]
+        kept = {k for k, literal in enumerate(bits) if minimized[literal >> 1]}
+        assert kept == set(range(10)) | {199, 250}
+
 
 class TestRewriteRules:
     def test_containment_and_contradiction(self):
@@ -255,6 +287,20 @@ class TestSimplifyEquivalence:
         assert normalized_report_dict(serial.to_dict()) == normalized_report_dict(
             parallel.to_dict()
         )
+
+    @pytest.mark.parametrize(
+        "bench_name", ["RS232-T2400", "RS232-HT-FREE", "RS232-SEQ-T3000"]
+    )
+    def test_wide_pattern_batches_leave_the_report_unchanged(self, bench_name):
+        # The batch width only changes how soon simulation finds a witness;
+        # the canonical re-settle keeps verdict and counterexample fixed.
+        default = _audit(bench_name)
+        wide = _audit(bench_name, sim_patterns=512)
+        assert normalized_report_dict(default.to_dict()) == normalized_report_dict(
+            wide.to_dict()
+        )
+        if default.counterexample is not None:
+            assert default.counterexample.values == wide.counterexample.values
 
     def test_sim_falsification_skips_the_solver(self):
         report = _audit("RS232-T2400")

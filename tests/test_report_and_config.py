@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.core import DetectionConfig, Verdict, Waiver, detect_trojans
+from repro.api import DetectionSession
+from repro.core import DetectionConfig, Verdict, Waiver
 from repro.core.report import SCHEMA_VERSION, DetectionReport
 from repro.errors import (
     BitblastError,
@@ -53,20 +54,33 @@ class TestDetectionConfig:
         assert config.cache_dir is None
         assert config.use_cache
 
-    def test_from_dict_drops_only_the_retired_split_fields(self):
+    @pytest.mark.parametrize(
+        "retired, typo",
+        [
+            ({"split": True, "split_conflicts": 20000, "split_depth": 2}, "split_budget"),
+            ({"sim_backend": "numpy"}, "sim_backnd"),
+        ],
+        ids=["split", "sim_backend"],
+    )
+    def test_from_dict_drops_only_the_retired_fields(self, retired, typo):
         # Submission overlays and journaled queue entries written before
-        # conflict-budgeted splitting was removed carry its three knobs.
+        # splitting and the sim-kernel selector were removed carry their knobs.
         overlay = DetectionConfig().to_dict()
         for knob in ("jobs", "cache_dir", "use_cache", "trace", "task_retries"):
             del overlay[knob]
-        overlay.update(split=True, split_conflicts=20000, split_depth=2)
+        overlay.update(retired)
         assert DetectionConfig.from_dict(overlay) == DetectionConfig()
-        with pytest.raises(ConfigError, match="split_budget"):
-            DetectionConfig.from_dict({**overlay, "split_budget": 100})
+        with pytest.raises(ConfigError, match=typo):
+            DetectionConfig.from_dict({**overlay, typo: 100})
 
     @pytest.mark.parametrize(
         "key, value",
-        [("split", False), ("split_conflicts", 5), ("split_depth", 10)],
+        [
+            ("split", False),
+            ("split_conflicts", 5),
+            ("split_depth", 10),
+            ("sim_backend", "numpy"),
+        ],
     )
     def test_each_retired_field_is_dropped_on_its_own(self, key, value):
         # Dropping a retired key leaves the keys beside it in effect.
@@ -74,7 +88,7 @@ class TestDetectionConfig:
         assert loaded == DetectionConfig(sim_patterns=32)
 
     @pytest.mark.parametrize(
-        "key", ["split_budget", "splits", "split_conflict", "no_split"]
+        "key", ["split_budget", "splits", "split_conflict", "no_split", "sim_backnd"]
     )
     def test_near_misses_of_retired_fields_still_raise(self, key):
         with pytest.raises(ConfigError, match=f"unknown config field\\(s\\) {key}"):
@@ -86,7 +100,7 @@ class TestDetectionConfig:
         from repro.core.config import RETIRED_FIELDS
 
         names = {field.name for field in dataclasses.fields(DetectionConfig)}
-        assert len(names) == 21
+        assert len(names) == 20
         assert not RETIRED_FIELDS & names
         assert not RETIRED_FIELDS & set(DetectionConfig().to_dict())
         with pytest.raises(TypeError):
@@ -188,7 +202,7 @@ def _downgrade_to_v8(data):
 
 class TestReportSerialization:
     def test_secure_report_json_round_trip(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         data = report.to_dict()
         assert data["schema_version"] == SCHEMA_VERSION
         restored = DetectionReport.from_dict(json.loads(report.to_json()))
@@ -197,7 +211,7 @@ class TestReportSerialization:
         assert restored.design == report.design
 
     def test_failing_report_round_trips_cex_and_diagnosis(self, trojaned_module):
-        report = detect_trojans(trojaned_module)
+        report = DetectionSession(trojaned_module).run()
         restored = DetectionReport.from_json(report.to_json())
         assert restored.to_dict() == report.to_dict()
         assert restored.trojan_detected
@@ -210,7 +224,7 @@ class TestReportSerialization:
         ]
 
     def test_round_trip_preserves_summary_queries(self, trojaned_module):
-        report = detect_trojans(trojaned_module)
+        report = DetectionSession(trojaned_module).run()
         restored = DetectionReport.from_json(report.to_json())
         assert restored.property_runtimes() == report.property_runtimes()
         assert restored.solver_stats() == report.solver_stats()
@@ -218,20 +232,20 @@ class TestReportSerialization:
         assert restored.summary()  # renders without the original objects
 
     def test_uncovered_report_round_trips_coverage(self, uncovered_trojan_module):
-        report = detect_trojans(uncovered_trojan_module)
+        report = DetectionSession(uncovered_trojan_module).run()
         assert report.verdict is Verdict.UNCOVERED_SIGNALS
         restored = DetectionReport.from_json(report.to_json())
         assert restored.to_dict() == report.to_dict()
         assert restored.coverage.uncovered == report.coverage.uncovered
 
     def test_fanout_analysis_round_trips(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         restored = DetectionReport.from_json(report.to_json())
         assert restored.fanout_analysis.classes == report.fanout_analysis.classes
         assert restored.fanout_analysis.placement == report.fanout_analysis.placement
 
     def test_from_dict_rejects_unknown_version(self, pipeline_module):
-        data = detect_trojans(pipeline_module).to_dict()
+        data = DetectionSession(pipeline_module).run().to_dict()
         data["schema_version"] = SCHEMA_VERSION + 1
         with pytest.raises(ReproError, match="schema_version"):
             DetectionReport.from_dict(data)
@@ -242,7 +256,7 @@ class TestReportSerialization:
         ids=["v1", "v8"],
     )
     def test_old_reports_still_load(self, pipeline_module, version, downgrade):
-        current = detect_trojans(pipeline_module).to_dict()
+        current = DetectionSession(pipeline_module).run().to_dict()
         data = json.loads(json.dumps(current))
         data["schema_version"] = version
         downgrade(data)
@@ -270,7 +284,7 @@ class TestReportSerialization:
             DetectionReport.from_dict({"schema_version": SCHEMA_VERSION, "verdict": "secure"})
 
     def test_execution_block_round_trips(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         report.workers = 4
         report.cache_hits = 2
         report.cache_misses = 3
@@ -291,14 +305,14 @@ class TestReportSerialization:
         assert restored.to_dict() == data
 
     def test_summary_mentions_cache_activity(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         report.cache_hits = 2
         assert "result cache" in report.summary()
 
 
 class TestDetectionReport:
     def test_report_fields_for_secure_run(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         assert isinstance(report, DetectionReport)
         assert report.design == "pipe"
         assert report.verdict is Verdict.SECURE
@@ -306,12 +320,12 @@ class TestDetectionReport:
         assert str(report)
 
     def test_property_runtime_map_labels(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         labels = set(report.property_runtimes())
         assert labels == {"init property", "fanout property 1"}
 
     def test_summary_mentions_spurious_when_present(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         report.spurious_resolved = 3
         assert "spurious" in report.summary()
 
@@ -320,7 +334,7 @@ class TestDetectionReport:
         assert str(Verdict.TROJAN_SUSPECTED) == "trojan-suspected"
 
     def test_outcome_labels(self, trojaned_module):
-        report = detect_trojans(trojaned_module)
+        report = DetectionSession(trojaned_module).run()
         assert report.outcomes[0].label == "init property"
         assert report.outcomes[-1].label.startswith("fanout property")
 
